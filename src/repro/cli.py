@@ -382,33 +382,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_federation(args: argparse.Namespace, graph, config) -> int:
-    from repro.federation.serve import FederationSupervisor
+def _print_chaos(fault_plan) -> None:
+    if fault_plan is not None:
+        print(
+            f"chaos plan active: {len(fault_plan.rules)} rules, "
+            f"seed {fault_plan.seed}"
+        )
 
-    manifest_path = args.federation
-    if os.path.isdir(manifest_path):
-        manifest_path = os.path.join(manifest_path, "federation.json")
-    supervisor = FederationSupervisor(
-        graph,
-        manifest_path,
-        resilience=config,
-        host=args.host,
-        port=args.port,
-        mmap=True,
-    )
-    port = supervisor.start()
-    supervisor.wait_ready()
-    print(
-        f"serving {args.name} federation on http://{args.host}:{port} "
-        f"with {supervisor.manifest.num_regions} region workers "
-        f"(epoch {supervisor.manifest.epoch}; intra-region queries "
-        "proxied to the owning shard, cross-region stitched through "
-        "the border index; Ctrl-C stops, SIGTERM drains)",
-        flush=True,
-    )
-    for region, worker_port in sorted(supervisor.worker_ports.items()):
-        print(f"  region {region} worker on port {worker_port}")
 
+def _serve_until_sigterm(supervisor, grace_s: float) -> int:
+    """Block until SIGTERM, then drain ``supervisor`` gracefully: stop
+    accepting, finish in-flight requests within ``grace_s``, fsync the
+    live journal if there is one.  Returns the exit code: 0 for a clean
+    drain, 1 if it escalated to SIGKILL."""
     import signal as _signal
 
     drain_requested = threading.Event()
@@ -421,9 +407,42 @@ def _cmd_serve_federation(args: argparse.Namespace, graph, config) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         supervisor.stop()
         return 0
-    clean = supervisor.drain(grace_s=config.drain_grace_s)
+    clean = supervisor.drain(grace_s=grace_s)
     print("drained" if clean else "drain escalated to SIGKILL", flush=True)
     return 0 if clean else 1
+
+
+def _cmd_serve_federation(
+    args: argparse.Namespace, graph, config, fault_plan
+) -> int:
+    from repro.federation.serve import FederationSupervisor
+
+    manifest_path = args.federation
+    if os.path.isdir(manifest_path):
+        manifest_path = os.path.join(manifest_path, "federation.json")
+    supervisor = FederationSupervisor(
+        graph,
+        manifest_path,
+        resilience=config,
+        fault_plan=fault_plan,
+        host=args.host,
+        port=args.port,
+        mmap=True,
+    )
+    port = supervisor.start()
+    supervisor.wait_ready()
+    _print_chaos(fault_plan)
+    print(
+        f"serving {args.name} federation on http://{args.host}:{port} "
+        f"with {supervisor.manifest.num_regions} region workers "
+        f"(epoch {supervisor.manifest.epoch}; intra-region queries "
+        "proxied to the owning shard, cross-region stitched through "
+        "the border index; Ctrl-C stops, SIGTERM drains)",
+        flush=True,
+    )
+    for region, worker_port in sorted(supervisor.worker_ports.items()):
+        print(f"  region {region} worker on port {worker_port}")
+    return _serve_until_sigterm(supervisor, config.drain_grace_s)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -447,7 +466,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     fault_plan = load_fault_plan(args.chaos) if args.chaos else None
 
     if args.federation:
-        return _cmd_serve_federation(args, graph, config)
+        return _cmd_serve_federation(args, graph, config, fault_plan)
 
     if args.workers > 1:
         from repro.serving import (
@@ -512,11 +531,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         port = supervisor.start()
         supervisor.wait_ready()
-        if fault_plan is not None:
-            print(
-                f"chaos plan active: {len(fault_plan.rules)} rules, "
-                f"seed {fault_plan.seed}"
-            )
+        _print_chaos(fault_plan)
         print(
             f"serving {args.name} on http://{args.host}:{port} with "
             f"{args.workers} workers ({sharing}; /v1 endpoints; "
@@ -531,26 +546,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
 
-        # SIGTERM = graceful drain: stop accepting, finish in-flight
-        # requests within the grace window, fsync the journal, exit 0.
-        import signal as _signal
-
-        drain_requested = threading.Event()
-        _signal.signal(
-            _signal.SIGTERM, lambda signum, frame: drain_requested.set()
-        )
-        try:
-            while not drain_requested.wait(timeout=1.0):
-                pass
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            supervisor.stop()
-            return 0
-        clean = supervisor.drain(grace_s=config.drain_grace_s)
-        print(
-            "drained" if clean else "drain escalated to SIGKILL",
-            flush=True,
-        )
-        return 0 if clean else 1
+        return _serve_until_sigterm(supervisor, config.drain_grace_s)
 
     if args.live:
         from repro.live import LiveOverlayEngine
@@ -574,11 +570,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = service.start(host=args.host, port=args.port, warm=not args.no_warm)
     if args.no_warm:
         print("index building in the background; /healthz shows progress")
-    if fault_plan is not None:
-        print(
-            f"chaos plan active: {len(fault_plan.rules)} rules, "
-            f"seed {fault_plan.seed}"
-        )
+    _print_chaos(fault_plan)
     print(f"serving {args.name} on http://{args.host}:{port} "
           f"(endpoints, preferably under /v1: {endpoints}; "
           f"Ctrl-C stops)",

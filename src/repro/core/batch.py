@@ -21,7 +21,9 @@ The three historical entry points (``one_to_many_eat``,
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core import kernels
 from repro.core.index import TTLIndex
@@ -54,30 +56,37 @@ def batch_plan(
             if not 0 <= station < n:
                 raise QueryError(f"unknown station: {station}")
     vectorized = kernels.vectorized_available()
-    return [_answer(index, request, vectorized) for request in requests]
+
+    def one_to_many(source, targets, t):
+        return _one_to_many(index, source, targets, t, vectorized)
+
+    return [answer_batch(request, one_to_many, n) for request in requests]
 
 
-def _answer(
-    index: TTLIndex, request: BatchQuery, vectorized: bool
+def answer_batch(
+    request: BatchQuery,
+    one_to_many: Callable[[int, Iterable[int], int], Dict[int, Optional[int]]],
+    n: int,
 ) -> BatchResult:
+    """Answer one validated request from earliest-arrival rows.
+
+    ``one_to_many(source, targets, t)`` maps each target to its
+    earliest arrival (``None`` where unreachable); ``n`` is the station
+    count an isochrone sweeps.  :func:`batch_plan` answers rows from one
+    index, the federation router by fanning out per region.
+    """
     if request.kind == "one_to_many":
-        return _one_to_many(
-            index, request.sources[0], request.targets, request.t, vectorized
-        )
+        return one_to_many(request.sources[0], request.targets, request.t)
     if request.kind == "matrix":
         matrix: Dict[Tuple[int, int], Optional[int]] = {}
         for source in request.sources:
-            row = _one_to_many(
-                index, source, request.targets, request.t, vectorized
-            )
+            row = one_to_many(source, request.targets, request.t)
             for target, arr in row.items():
                 matrix[(source, target)] = arr
         return matrix
     # isochrone
     source, t, budget = request.sources[0], request.t, request.budget
-    arrivals = _one_to_many(
-        index, source, range(index.graph.n), t, vectorized
-    )
+    arrivals = one_to_many(source, range(n), t)
     reachable = [
         (arr, station)
         for station, arr in arrivals.items()

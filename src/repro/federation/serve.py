@@ -4,8 +4,7 @@ Process layout (one :class:`FederationSupervisor`):
 
 * **K region workers** — forked children, one per region shard.  Each
   memory-maps *only its region's* index file plus the shared border
-  index (per-worker RSS is bounded by shard + border, the point of
-  federating), serves the full ``/v1`` query surface for queries whose
+  index, serves the full ``/v1`` query surface for queries whose
   endpoints both live in its region (including the self-stitch for
   intra-region journeys that detour through a neighbor — see
   :mod:`repro.federation.stitch`), and exposes the internal
@@ -24,22 +23,22 @@ Workers keep the prefork contract from :mod:`repro.serving`: sockets
 are bound by the supervisor before any fork (so a respawned worker
 reuses its port), liveness is heartbeat rows in the shared scoreboard,
 and a killed worker is respawned into the same slot with a bumped
-generation.
+generation.  The router answers through the worker's
+:class:`~repro.service.JSONRequestHandler`, so both share one request
+layer: body cap, status table, ``/v1`` envelope and batch parsing.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import signal
 import socket
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from http.server import ThreadingHTTPServer
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algorithms.profiles import ParetoProfile
+from repro.core.batch import answer_batch
 from repro.core.order import graph_digest
 from repro.errors import (
     FederationError,
@@ -53,6 +52,16 @@ from repro.journey import Journey
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.serving.scoreboard import Scoreboard
 from repro.serving.supervisor import ServingSupervisor
+from repro.serving.worker import worker_main
+from repro.service import (
+    _SENT,
+    JSONRequestHandler,
+    _batch_query,
+    _batch_result_body,
+    _int_field,
+    _int_list_field,
+    _int_param,
+)
 from repro.timeutil import INF, NEG_INF
 
 #: Router → worker sub-request timeout (seconds).
@@ -173,18 +182,6 @@ def _station_map(body: dict, name: str) -> Dict[int, int]:
         ) from None
 
 
-def _int_field(body: dict, name: str) -> int:
-    from repro.service import _int_field as impl
-
-    return impl(body, name)
-
-
-def _int_list_field(body: dict, name: str) -> list:
-    from repro.service import _int_list_field as impl
-
-    return impl(body, name)
-
-
 def _federation_worker_main(
     region: int,
     generation: int,
@@ -200,39 +197,28 @@ def _federation_worker_main(
     """One region worker (runs in the forked child).
 
     Loads *only* this region's shard (memory-mapped) plus the border
-    index, serves queries between stations of the region (the planner
-    self-stitches detours), answers ``/fed/*`` seam primitives for the
-    router, and heartbeats until SIGTERM.  The cache epoch folds in the
-    manifest epoch and region id, so a rebuilt or re-partitioned
-    federation can never resurrect stale cached answers.
+    index and serves it through :func:`~repro.serving.worker.worker_main`:
+    queries between stations of the region (the planner self-stitches
+    detours), ``/fed/*`` seam primitives for the router, and the same
+    heartbeat and SIGTERM drain as every prefork worker.  The cache
+    epoch folds in the manifest epoch and region id, so a rebuilt or
+    re-partitioned federation can never resurrect stale cached answers.
     """
-    from repro.service import PlannerService
-
     planner = load_federation(
         manifest_path, graph, regions=[region], mmap=mmap, verify=False
     )
-    service = PlannerService(
-        planner,
+    worker_main(
+        region,
+        generation,
+        sock,
+        lambda: planner,
+        scoreboard,
         resilience=resilience,
         fault_plan=fault_plan,
-        worker_id=region,
-        scoreboard=scoreboard,
+        heartbeat_interval_s=heartbeat_interval_s,
         epoch=f"{planner.manifest.epoch}/r{region}",
+        fed=FederationWorkerRole(planner, region),
     )
-    service.generation = generation
-    service.fed = FederationWorkerRole(planner, region)
-
-    drain = threading.Event()
-    signal.signal(signal.SIGTERM, lambda signum, frame: drain.set())
-
-    service.start(sock=sock, warm=True)
-    try:
-        while not drain.wait(timeout=heartbeat_interval_s):
-            service.publish_counters()
-    except KeyboardInterrupt:
-        return
-    service.stop()
-    service.publish_counters()
 
 
 class FederationSupervisor(ServingSupervisor):
@@ -279,6 +265,7 @@ class FederationSupervisor(ServingSupervisor):
             respawn=respawn,
             respawn_backoff_s=respawn_backoff_s,
         )
+        self.config = resilience or ResilienceConfig()
         self.graph = graph
         self.manifest = manifest
         self.manifest_path = manifest_path
@@ -404,7 +391,8 @@ class FederationSupervisor(ServingSupervisor):
             if response.status == 503:
                 raise ServiceNotReady(
                     f"region {region} worker not ready: "
-                    f"{data.get('error')}"
+                    f"{data.get('error')}",
+                    retry_after=self.config.retry_after_s,
                 )
             if response.status != 200:
                 raise FederationError(
@@ -414,7 +402,8 @@ class FederationSupervisor(ServingSupervisor):
             return data
         except (OSError, http.client.HTTPException) as exc:
             raise ServiceNotReady(
-                f"region {region} worker unreachable: {exc}"
+                f"region {region} worker unreachable: {exc}",
+                retry_after=self.config.retry_after_s,
             ) from exc
         finally:
             conn.close()
@@ -437,7 +426,8 @@ class FederationSupervisor(ServingSupervisor):
             )
         except (OSError, http.client.HTTPException) as exc:
             raise ServiceNotReady(
-                f"region {region} worker unreachable: {exc}"
+                f"region {region} worker unreachable: {exc}",
+                retry_after=self.config.retry_after_s,
             ) from exc
         finally:
             conn.close()
@@ -517,16 +507,16 @@ class FederationSupervisor(ServingSupervisor):
         return Journey(u, v, dep, arr).to_dict()
 
     def one_to_many(
-        self, source: int, targets: List[int], t: int
-    ) -> Dict[str, Optional[int]]:
+        self, source: int, targets: Iterable[int], t: int
+    ) -> Dict[int, Optional[int]]:
         """Batched federated earliest arrivals, one ``out`` per remote
-        region (string-keyed, matching JSON-serialized monolith
-        bodies)."""
+        region — the row function :func:`~repro.core.batch.answer_batch`
+        builds every ``/v1/batch`` kind from."""
         region_u = self.manifest.stop_region(source)
         by_region: Dict[int, List[int]] = {}
         for v in targets:
             by_region.setdefault(self.manifest.stop_region(v), []).append(v)
-        arrivals: Dict[str, Optional[int]] = {}
+        arrivals: Dict[int, Optional[int]] = {}
         own = by_region.pop(region_u, None)
         if own:
             data = self.call_worker(
@@ -534,7 +524,7 @@ class FederationSupervisor(ServingSupervisor):
                 "/fed/one_to_many",
                 {"source": source, "targets": own, "t": t},
             )
-            arrivals.update(data["arrivals"])
+            arrivals.update(_station_keys(data["arrivals"]))
         for region, stations in sorted(by_region.items()):
             out = self.call_worker(
                 region_u,
@@ -546,106 +536,82 @@ class FederationSupervisor(ServingSupervisor):
                 "/fed/close_many",
                 {"targets": stations, "t2": out["t2"]},
             )
-            arrivals.update(data["arrivals"])
+            arrivals.update(_station_keys(data["arrivals"]))
         return arrivals
+
+    # ------------------------------------------------------------------
+    # Router status bodies
+    # ------------------------------------------------------------------
+
+    def healthz(self) -> dict:
+        """``/v1/healthz``: federation identity plus per-shard liveness."""
+        manifest = self.manifest
+        rows = {row["worker"]: row for row in self.scoreboard.workers()}
+        borders = manifest.borders_by_region()
+        shards = []
+        for entry in manifest.regions:
+            row = rows.get(entry.region, {})
+            shards.append(
+                {
+                    "region": entry.region,
+                    "stations": len(entry.stops),
+                    "borders": len(borders.get(entry.region, [])),
+                    "labels": entry.labels,
+                    "port": self.worker_ports.get(entry.region),
+                    "pid": row.get("pid", 0),
+                    "generation": row.get("generation", 0),
+                    "alive": row.get("alive", False),
+                }
+            )
+        return {
+            "status": "ok",
+            "planner": "TTL-fed",
+            "federation": True,
+            "stations": self.graph.n,
+            "regions": manifest.num_regions,
+            "epoch": manifest.epoch,
+            "border_stops": len(manifest.border_stops),
+            "ready": all(s["pid"] > 0 for s in shards),
+            "shards": shards,
+        }
+
+    def metrics(self) -> dict:
+        """``/v1/metrics``: router counters plus the cluster scoreboard."""
+        with self._stats_lock:
+            router = dict(self.router_stats)
+        return {
+            "planner": "TTL-fed",
+            "federation": {
+                "regions": self.manifest.num_regions,
+                "epoch": self.manifest.epoch,
+                "router": router,
+                "respawns": self.respawns,
+            },
+            "cluster": {
+                "workers": self.scoreboard.workers(),
+                "totals": self.scoreboard.totals(),
+            },
+        }
+
+
+def _station_keys(arrivals: dict) -> Dict[int, Optional[int]]:
+    """Undo JSON's string keys on a worker's ``{station: arrival}`` map."""
+    return {int(v): arr for v, arr in arrivals.items()}
 
 
 def _make_router_handler(sup: FederationSupervisor):
-    from repro.service import (
-        _error_body,
-        _int_param,
-        _retry_after,
-        _split_api_version,
-    )
-
     manifest = sup.manifest
     graph = sup.graph
-    config = sup.resilience or ResilienceConfig()
 
-    class RouterHandler(BaseHTTPRequestHandler):
-        def log_message(self, *_args) -> None:
-            return
+    class RouterHandler(JSONRequestHandler):
+        config = sup.config
+        # -1 marks a router-assembled (cross-region) answer; proxied
+        # answers carry the owning region's id.
+        worker_id = -1
 
-        def send_error(  # noqa: N802 (http.server API)
-            self, code, message=None, explain=None
-        ) -> None:
-            if message is None:
-                message = self.responses.get(code, ("error",))[0]
-            self._send(code, _error_body(message))
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            params = {
-                key: values[0]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, lambda: self._route_get(path, params, versioned)
-            )
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, lambda: self._route_post(path, versioned)
-            )
-
-        def _dispatch(self, versioned: bool, route) -> None:
-            started = time.perf_counter()
-            try:
-                body = route()
-            except ServiceNotReady as exc:
-                self._send(
-                    503,
-                    _error_body(exc),
-                    headers={
-                        "Retry-After": _retry_after(config.retry_after_s)
-                    },
-                )
-                return
-            except RequestValidationError as exc:
-                self._send(400, _error_body(exc))
-                return
-            except (FederationError, KeyError, ValueError) as exc:
-                self._send(400, _error_body(exc))
-                return
-            except Exception as exc:  # never kill the router thread
-                self._send(
-                    500,
-                    _error_body(
-                        f"internal error: {exc.__class__.__name__}: {exc}"
-                    ),
-                )
-                return
-            if body is None:
-                self._send(404, _error_body(f"unknown path: {self.path}"))
-                return
-            if body is _PROXIED:
-                return  # response already written verbatim
-            headers = None
-            if versioned:
-                body = {
-                    "data": body,
-                    "meta": {
-                        "elapsed_us": int(
-                            (time.perf_counter() - started) * 1e6
-                        ),
-                        "degraded": False,
-                        # -1 marks a router-assembled (cross-region)
-                        # answer; proxied answers carry the region id.
-                        "worker": -1,
-                    },
-                }
-            else:
-                headers = {"Deprecation": "true"}
-            self._send(200, body, headers=headers)
-
-        # --------------------------------------------------------------
-
-        def _route_get(self, path: str, params: dict, versioned: bool):
+        def _route_get(self, path: str, params: dict):
             if path == "/healthz":
-                return self._healthz()
+                return sup.healthz()
             if path == "/healthz/live":
                 return {"status": "alive"}
             if path == "/healthz/ready":
@@ -655,11 +621,12 @@ def _make_router_handler(sup: FederationSupervisor):
                 ]
                 if waiting:
                     raise ServiceNotReady(
-                        f"region workers {waiting} not ready"
+                        f"region workers {waiting} not ready",
+                        retry_after=sup.config.retry_after_s,
                     )
                 return {"ready": True}
             if path == "/metrics":
-                return self._metrics()
+                return sup.metrics()
             if path == "/stations":
                 return {
                     "stations": [
@@ -667,195 +634,41 @@ def _make_router_handler(sup: FederationSupervisor):
                         for s in range(graph.n)
                     ]
                 }
-            if path in ("/eap", "/ldp"):
+            if path in ("/eap", "/ldp", "/sdp", "/profile"):
                 u = _int_param(params, "from")
                 v = _int_param(params, "to")
                 t = _int_param(params, "t")
+                windowed = path in ("/sdp", "/profile")
+                t_end = _int_param(params, "t_end") if windowed else None
                 region_u = manifest.stop_region(u)
                 if region_u == manifest.stop_region(v):
                     return self._proxy_intra(region_u)
                 sup.bump("cross_stitched")
-                journey = (
-                    sup.cross_eap(u, v, t)
-                    if path == "/eap"
-                    else sup.cross_ldp(u, v, t)
-                )
-                return {"journey": journey}
-            if path in ("/sdp", "/profile"):
-                u = _int_param(params, "from")
-                v = _int_param(params, "to")
-                t = _int_param(params, "t")
-                t_end = _int_param(params, "t_end")
-                region_u = manifest.stop_region(u)
-                if region_u == manifest.stop_region(v):
-                    return self._proxy_intra(region_u)
-                sup.bump("cross_stitched")
+                if path == "/eap":
+                    return {"journey": sup.cross_eap(u, v, t)}
+                if path == "/ldp":
+                    return {"journey": sup.cross_ldp(u, v, t)}
                 if path == "/sdp":
                     return {"journey": sup.cross_sdp(u, v, t, t_end)}
                 return {"pairs": sup.cross_profile(u, v, t, t_end)}
             return None
 
-        def _route_post(self, path: str, versioned: bool):
+        def _route_post(self, path: str, body: dict, versioned: bool):
             if path != "/batch" or not versioned:
                 return None
-            raw_length = int(self.headers.get("Content-Length", 0) or 0)
-            raw = self.rfile.read(raw_length) if raw_length else b""
-            try:
-                body = json.loads(raw) if raw else {}
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON body: {exc}") from exc
-            if not isinstance(body, dict):
-                raise ValueError("JSON body must be an object")
-            return self._batch(body)
+            sup.bump("batch_requests")
+            query = _batch_query(
+                body, sup.config.max_batch_pairs, graph.n
+            ).validated()
+            answer = answer_batch(query, sup.one_to_many, graph.n)
+            return _batch_result_body(query, answer)
 
         def _proxy_intra(self, region: int):
             """Forward the original request whole to the owning worker
             — the single-hop intra-region path."""
             sup.bump("intra_proxied")
             status, payload, content_type = sup.proxy(region, self.path)
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            try:
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-            return _PROXIED
-
-        def _healthz(self) -> dict:
-            rows = {
-                row["worker"]: row for row in sup.scoreboard.workers()
-            }
-            borders = manifest.borders_by_region()
-            shards = []
-            for entry in manifest.regions:
-                row = rows.get(entry.region, {})
-                shards.append(
-                    {
-                        "region": entry.region,
-                        "stations": len(entry.stops),
-                        "borders": len(borders.get(entry.region, [])),
-                        "labels": entry.labels,
-                        "port": sup.worker_ports.get(entry.region),
-                        "pid": row.get("pid", 0),
-                        "generation": row.get("generation", 0),
-                        "alive": row.get("alive", False),
-                    }
-                )
-            return {
-                "status": "ok",
-                "planner": "TTL-fed",
-                "federation": True,
-                "stations": graph.n,
-                "regions": manifest.num_regions,
-                "epoch": manifest.epoch,
-                "border_stops": len(manifest.border_stops),
-                "ready": all(s["pid"] > 0 for s in shards),
-                "shards": shards,
-            }
-
-        def _metrics(self) -> dict:
-            with sup._stats_lock:
-                router = dict(sup.router_stats)
-            return {
-                "planner": "TTL-fed",
-                "federation": {
-                    "regions": manifest.num_regions,
-                    "epoch": manifest.epoch,
-                    "router": router,
-                    "respawns": sup.respawns,
-                },
-                "cluster": {
-                    "workers": sup.scoreboard.workers(),
-                    "totals": sup.scoreboard.totals(),
-                },
-            }
-
-        def _batch(self, body: dict):
-            sup.bump("batch_requests")
-            kind = body.get("kind")
-            if kind not in ("one_to_many", "matrix", "isochrone"):
-                raise RequestValidationError(
-                    "body field 'kind' must be one of 'one_to_many', "
-                    f"'matrix', 'isochrone', got {kind!r}",
-                    field="kind",
-                )
-            t = _int_field(body, "t")
-            cap = config.max_batch_pairs
-            if kind == "one_to_many":
-                source = _int_field(body, "source")
-                targets = _int_list_field(body, "targets")
-                if len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(targets)} targets exceed the batch cap "
-                        f"of {cap}",
-                        field="targets",
-                    )
-                return {
-                    "kind": kind,
-                    "source": source,
-                    "t": t,
-                    "arrivals": sup.one_to_many(source, targets, t),
-                }
-            if kind == "matrix":
-                sources = _int_list_field(body, "sources")
-                targets = _int_list_field(body, "targets")
-                if len(sources) * len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(sources)}x{len(targets)} matrix exceeds "
-                        f"the batch cap of {cap} pairs",
-                        field="sources",
-                    )
-                matrix = {
-                    str(source): sup.one_to_many(source, targets, t)
-                    for source in sources
-                }
-                return {"kind": kind, "t": t, "matrix": matrix}
-            # isochrone
-            source = _int_field(body, "source")
-            budget = _int_field(body, "budget")
-            if graph.n > cap:
-                raise RequestValidationError(
-                    f"an isochrone sweeps all {graph.n} stations, "
-                    f"exceeding the batch cap of {cap}",
-                    field="kind",
-                )
-            arrivals = sup.one_to_many(source, list(range(graph.n)), t)
-            reachable = sorted(
-                (arr, int(station))
-                for station, arr in arrivals.items()
-                if arr is not None and arr - t <= budget
-            )
-            return {
-                "kind": kind,
-                "source": source,
-                "t": t,
-                "budget": budget,
-                "stations": [station for _, station in reachable],
-            }
-
-        def _send(
-            self,
-            status: int,
-            body: dict,
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            try:
-                payload = json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                if headers:
-                    for key, value in headers.items():
-                        self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
+            self._write(status, payload, content_type)
+            return _SENT
 
     return RouterHandler
-
-
-#: Sentinel: the handler already streamed a proxied response.
-_PROXIED = object()

@@ -64,12 +64,15 @@ deadline (504 on expiry), a bounded in-flight admission gate (429 +
 ``Retry-After`` when shedding), and — for live engines — a circuit
 breaker that, when tripped, serves TTL answers on the frozen base
 timetable flagged ``"degraded": true`` instead of exact overlay
-answers.  The full status-code contract:
+answers.
 
 Every error — any method, any version, any status — carries one JSON
 shape: ``{"error": <message>, "field": <offending parameter or null>,
 "hint": <actionable suggestion or null>}``.  The CLI prints the same
-triple on stderr.  The full status-code contract:
+triple on stderr.  The federation router
+(:mod:`repro.federation.serve`) answers through the same
+:class:`JSONRequestHandler` base, so it shares this contract.  The full
+status-code contract:
 
 ====== =================================================================
 status meaning
@@ -78,6 +81,8 @@ status meaning
 400    invalid input (``field`` names the culprit when one parameter
        is at fault)
 404    unknown path
+409    live mutation sent to a prefork worker instead of the
+       supervisor's control port (``hint`` names the right URL)
 413    request body larger than the configured cap
 429    shed by admission control (``Retry-After`` header)
 500    unexpected internal error (JSON body; the handler thread
@@ -491,6 +496,204 @@ def _int_field(body: dict, name: str) -> int:
         ) from None
 
 
+#: Exception type -> HTTP status for everything a route raises; the
+#: first match wins, so subclasses precede their bases.  Exceptions not
+#: listed answer 500.
+_ERROR_STATUS = (
+    (Overloaded, 429),
+    (ServiceNotReady, 503),
+    (DeadlineExceeded, 504),
+    (PayloadTooLarge, 413),
+    (RequestValidationError, 400),
+    (ConflictError, 409),
+    (FaultInjected, 500),
+    (ReproError, 400),
+    (KeyError, 400),
+    (ValueError, 400),
+)
+
+#: Route result meaning "the route already wrote its response".
+_SENT = object()
+
+
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """HTTP plumbing shared by the planner worker and the federation
+    router.
+
+    It parses the URL and splits off ``/v1``, reads POST bodies under
+    the ``max_body_bytes`` cap, maps exceptions to statuses through
+    :data:`_ERROR_STATUS`, wraps ``/v1`` answers in the envelope, and
+    keeps every error page JSON.  Subclasses set :attr:`config` and
+    :attr:`worker_id` and define the routes: ``_route_get(path,
+    params)`` and ``_route_post(path, body, versioned)`` return a body
+    dict, ``None`` for an unknown path (404), or :data:`_SENT`.
+    """
+
+    config: ResilienceConfig
+    #: ``meta.worker`` of this handler's ``/v1`` envelopes.
+    worker_id = 0
+
+    def log_message(self, *_args) -> None:  # silence request logs
+        return
+
+    def send_error(  # noqa: N802 (http.server API)
+        self, code, message=None, explain=None
+    ) -> None:
+        # The base class renders HTML error pages (e.g. 501 for
+        # unsupported methods); keep the API JSON end to end.
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._send(code, _error_body(message))
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        parsed = urlparse(self.path)
+        params = {
+            key: values[0] for key, values in parse_qs(parsed.query).items()
+        }
+        versioned, path = _split_api_version(parsed.path)
+        self._dispatch(versioned, path, lambda: self._route_get(path, params))
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        parsed = urlparse(self.path)
+        versioned, path = _split_api_version(parsed.path)
+        self._dispatch(
+            versioned,
+            path,
+            lambda: self._route_post(path, self._read_body(), versioned),
+        )
+
+    def _dispatch(self, versioned: bool, path: str, route) -> None:
+        started = time.perf_counter()
+        try:
+            body = route()
+        except Exception as exc:  # never kill the handler thread
+            self._send_exception(exc)
+            return
+        if body is _SENT:
+            return
+        if body is None:
+            self._send(404, _error_body(f"unknown path: {self.path}"))
+            return
+        headers = None
+        if versioned:
+            degraded = False
+            if isinstance(body, dict):
+                degraded = bool(body.pop("degraded", False))
+            body = {
+                "data": body,
+                "meta": {
+                    "elapsed_us": int((time.perf_counter() - started) * 1e6),
+                    "degraded": degraded,
+                    "worker": self.worker_id,
+                },
+            }
+        elif not path.startswith("/healthz"):
+            # Legacy unversioned query surface: still answers, but
+            # tells clients to move to /v1 (docs/api.md has the
+            # migration table).
+            headers = {"Deprecation": "true"}
+        self._send(200, body, headers=headers)
+
+    def _send_exception(self, exc: Exception) -> None:
+        status = next(
+            (code for kind, code in _ERROR_STATUS if isinstance(exc, kind)),
+            500,
+        )
+        if status != 500:
+            body = _error_body(exc)
+        elif isinstance(exc, FaultInjected):
+            body = _error_body(f"internal error: {exc}")
+        else:
+            body = _error_body(
+                f"internal error: {exc.__class__.__name__}: {exc}"
+            )
+        if status == 503:
+            build = self._build_progress()
+            if build is not None:
+                body["build"] = build
+        headers = None
+        retry_after = getattr(exc, "retry_after", None)
+        if retry_after is not None:
+            headers = {"Retry-After": _retry_after(retry_after)}
+        self._send(status, body, headers=headers)
+
+    def _build_progress(self):
+        """Index-build progress for 503 bodies while warming, else None."""
+        return None
+
+    def _read_body(self) -> dict:
+        raw_length = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(raw_length)
+        except (TypeError, ValueError):
+            raise RequestValidationError(
+                f"invalid Content-Length: {raw_length!r}",
+                field="Content-Length",
+            ) from None
+        if length < 0:
+            raise RequestValidationError(
+                f"invalid Content-Length: {raw_length!r}",
+                field="Content-Length",
+            )
+        limit = self.config.max_body_bytes
+        if length > limit:
+            self._discard_body(length)
+            raise PayloadTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{limit} byte limit"
+            )
+        raw = self.rfile.read(length) if length else b""
+        if not raw:
+            return {}
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON body: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError("JSON body must be an object")
+        return data
+
+    def _discard_body(self, length: int) -> None:
+        """Drain an oversized request body (bounded) before the
+        413 goes out, so a client mid-upload finishes its write and
+        reads the response instead of dying on EPIPE.  Bodies
+        beyond the drain bound just get the connection closed."""
+        remaining = min(length, 4 * self.config.max_body_bytes)
+        while remaining > 0:
+            chunk = self.rfile.read(min(65536, remaining))
+            if not chunk:
+                break
+            remaining -= len(chunk)
+        self.close_connection = True
+
+    def _send(
+        self,
+        status: int,
+        body: dict,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._write(status, json.dumps(body).encode(), headers=headers)
+
+    def _write(
+        self,
+        status: int,
+        payload: bytes,
+        content_type: str = "application/json",
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            if headers:
+                for key, value in headers.items():
+                    self.send_header(key, value)
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away; nothing to salvage
+
+
 def _make_handler(service: PlannerService):
     planner = service.planner
     graph = planner.graph
@@ -501,161 +704,13 @@ def _make_handler(service: PlannerService):
     scoreboard = service.scoreboard
     cache = service.cache
 
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *_args) -> None:  # silence request logs
-            return
-
-        def send_error(  # noqa: N802 (http.server API)
-            self, code, message=None, explain=None
-        ) -> None:
-            # The base class renders HTML error pages (e.g. 501 for
-            # unsupported methods); keep the API JSON end to end.
-            if message is None:
-                message = self.responses.get(code, ("error",))[0]
-            self._send(code, _error_body(message))
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            params = {
-                key: values[0]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned, path, lambda: self._route_get(path, params)
-            )
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            parsed = urlparse(self.path)
-            versioned, path = _split_api_version(parsed.path)
-            self._dispatch(
-                versioned,
-                path,
-                lambda: self._route_post(
-                    path, self._read_body(), versioned
-                ),
-            )
+    class Handler(JSONRequestHandler):
+        config = service.config
+        worker_id = service.worker_id
 
         def _dispatch(self, versioned: bool, path: str, route) -> None:
-            started = time.perf_counter()
             service.requests_handled += 1
-            try:
-                body = route()
-            except Overloaded as exc:
-                self._send(
-                    429,
-                    _error_body(exc),
-                    headers={"Retry-After": _retry_after(exc.retry_after)},
-                )
-                return
-            except ServiceNotReady as exc:
-                body = _error_body(exc)
-                build = self._build_progress()
-                if build is not None:
-                    body["build"] = build
-                self._send(
-                    503,
-                    body,
-                    headers={"Retry-After": _retry_after(exc.retry_after)},
-                )
-                return
-            except DeadlineExceeded as exc:
-                self._send(504, _error_body(exc))
-                return
-            except PayloadTooLarge as exc:
-                self._send(413, _error_body(exc))
-                return
-            except RequestValidationError as exc:
-                self._send(400, _error_body(exc))
-                return
-            except ConflictError as exc:
-                self._send(409, _error_body(exc))
-                return
-            except FaultInjected as exc:
-                self._send(500, _error_body(f"internal error: {exc}"))
-                return
-            except (ReproError, KeyError, ValueError) as exc:
-                self._send(400, _error_body(exc))
-                return
-            except Exception as exc:  # never kill the handler thread
-                self._send(
-                    500,
-                    _error_body(
-                        "internal error: "
-                        f"{exc.__class__.__name__}: {exc}"
-                    ),
-                )
-                return
-            if body is None:
-                self._send(404, _error_body(f"unknown path: {self.path}"))
-                return
-            headers = None
-            if versioned:
-                degraded = False
-                if isinstance(body, dict):
-                    degraded = bool(body.pop("degraded", False))
-                body = {
-                    "data": body,
-                    "meta": {
-                        "elapsed_us": int(
-                            (time.perf_counter() - started) * 1e6
-                        ),
-                        "degraded": degraded,
-                        "worker": service.worker_id,
-                    },
-                }
-            elif not path.startswith("/healthz"):
-                # Legacy unversioned query surface: still answers, but
-                # tells clients to move to /v1 (docs/api.md has the
-                # migration table).
-                headers = {"Deprecation": "true"}
-            self._send(200, body, headers=headers)
-
-        def _read_body(self) -> dict:
-            raw_length = self.headers.get("Content-Length", 0) or 0
-            try:
-                length = int(raw_length)
-            except (TypeError, ValueError):
-                raise RequestValidationError(
-                    f"invalid Content-Length: {raw_length!r}",
-                    field="Content-Length",
-                ) from None
-            if length < 0:
-                raise RequestValidationError(
-                    f"invalid Content-Length: {raw_length!r}",
-                    field="Content-Length",
-                )
-            if length > config.max_body_bytes:
-                self._discard_body(length)
-                raise PayloadTooLarge(
-                    f"request body of {length} bytes exceeds the "
-                    f"{config.max_body_bytes} byte limit"
-                )
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed JSON body: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ValueError("JSON body must be an object")
-            return data
-
-        def _discard_body(self, length: int) -> None:
-            """Drain an oversized request body (bounded) before the
-            413 goes out, so a client mid-upload finishes its write and
-            reads the response instead of dying on EPIPE.  Bodies
-            beyond the drain bound just get the connection closed."""
-            remaining = min(length, 4 * config.max_body_bytes)
-            while remaining > 0:
-                chunk = self.rfile.read(min(65536, remaining))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self.close_connection = True
-
-        # --------------------------------------------------------------
+            super()._dispatch(versioned, path, route)
 
         def _build_progress(self):
             """Build-farm progress payload while warming, else None."""
@@ -1016,16 +1071,7 @@ def _make_handler(service: PlannerService):
                 hit = cache.get(key)
                 if hit is not None:
                     return hit
-            kind = body.get("kind")
-            if kind not in BATCH_KINDS:
-                raise RequestValidationError(
-                    "body field 'kind' must be one of 'one_to_many', "
-                    f"'matrix', 'isochrone', got {kind!r}",
-                    field="kind",
-                    hint="see docs/api.md for the /v1/batch request "
-                    "shapes",
-                )
-            query = self._batch_query(kind, body)
+            query = _batch_query(body, config.max_batch_pairs, graph.n)
             answer, is_degraded = self._query(
                 lambda: batch_plan(index, [query])[0], None
             )
@@ -1035,56 +1081,6 @@ def _make_handler(service: PlannerService):
             if key is not None and not (live is not None and is_degraded):
                 cache.put(key, result, static_ok=False)
             return result
-
-        def _batch_query(self, kind: str, body: dict) -> BatchQuery:
-            """Parse one ``/v1/batch`` body into a
-            :class:`~repro.query.BatchQuery`, enforcing the pair cap."""
-            t = _int_field(body, "t")
-            cap = config.max_batch_pairs
-            cap_hint = (
-                f"this server caps batch workloads at {cap} "
-                "source-target pairs (ResilienceConfig.max_batch_pairs); "
-                "split the request"
-            )
-            if kind == "one_to_many":
-                source = _int_field(body, "source")
-                targets = tuple(_int_list_field(body, "targets"))
-                if len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(targets)} targets exceed the batch cap "
-                        f"of {cap}",
-                        field="targets",
-                        hint=cap_hint,
-                    )
-                return BatchQuery(
-                    kind=kind, sources=(source,), targets=targets, t=t
-                )
-            if kind == "matrix":
-                sources = tuple(_int_list_field(body, "sources"))
-                targets = tuple(_int_list_field(body, "targets"))
-                if len(sources) * len(targets) > cap:
-                    raise RequestValidationError(
-                        f"{len(sources)}x{len(targets)} matrix exceeds "
-                        f"the batch cap of {cap} pairs",
-                        field="sources",
-                        hint=cap_hint,
-                    )
-                return BatchQuery(
-                    kind=kind, sources=sources, targets=targets, t=t
-                )
-            # isochrone
-            source = _int_field(body, "source")
-            budget = _int_field(body, "budget")
-            if graph.n > cap:
-                raise RequestValidationError(
-                    f"an isochrone sweeps all {graph.n} stations, "
-                    f"exceeding the batch cap of {cap}",
-                    field="kind",
-                    hint=cap_hint,
-                )
-            return BatchQuery(
-                kind=kind, sources=(source,), t=t, budget=budget
-            )
 
         def _require_live(self) -> None:
             if live is None:
@@ -1120,25 +1116,6 @@ def _make_handler(service: PlannerService):
             if service.journal is None:
                 return None
             return service.journal.append(record)
-
-        def _send(
-            self,
-            status: int,
-            body: dict,
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            try:
-                payload = json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                if headers:
-                    for key, value in headers.items():
-                        self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away; nothing to salvage
 
     return Handler
 
@@ -1193,6 +1170,59 @@ def _int_list_field(body: dict, name: str) -> list:
                 field=name,
             )
     return value
+
+
+def _batch_query(body: dict, max_pairs: int, stations: int) -> BatchQuery:
+    """Parse one ``/v1/batch`` body into a :class:`~repro.query.BatchQuery`,
+    enforcing the ``max_pairs`` cap (an isochrone sweeps all
+    ``stations``)."""
+    kind = body.get("kind")
+    if kind not in BATCH_KINDS:
+        raise RequestValidationError(
+            "body field 'kind' must be one of 'one_to_many', "
+            f"'matrix', 'isochrone', got {kind!r}",
+            field="kind",
+            hint="see docs/api.md for the /v1/batch request shapes",
+        )
+    t = _int_field(body, "t")
+    cap_hint = (
+        f"this server caps batch workloads at {max_pairs} "
+        "source-target pairs (ResilienceConfig.max_batch_pairs); "
+        "split the request"
+    )
+    if kind == "one_to_many":
+        source = _int_field(body, "source")
+        targets = tuple(_int_list_field(body, "targets"))
+        if len(targets) > max_pairs:
+            raise RequestValidationError(
+                f"{len(targets)} targets exceed the batch cap "
+                f"of {max_pairs}",
+                field="targets",
+                hint=cap_hint,
+            )
+        return BatchQuery(kind=kind, sources=(source,), targets=targets, t=t)
+    if kind == "matrix":
+        sources = tuple(_int_list_field(body, "sources"))
+        targets = tuple(_int_list_field(body, "targets"))
+        if len(sources) * len(targets) > max_pairs:
+            raise RequestValidationError(
+                f"{len(sources)}x{len(targets)} matrix exceeds "
+                f"the batch cap of {max_pairs} pairs",
+                field="sources",
+                hint=cap_hint,
+            )
+        return BatchQuery(kind=kind, sources=sources, targets=targets, t=t)
+    # isochrone
+    source = _int_field(body, "source")
+    budget = _int_field(body, "budget")
+    if stations > max_pairs:
+        raise RequestValidationError(
+            f"an isochrone sweeps all {stations} stations, "
+            f"exceeding the batch cap of {max_pairs}",
+            field="kind",
+            hint=cap_hint,
+        )
+    return BatchQuery(kind=kind, sources=(source,), t=t, budget=budget)
 
 
 def _batch_result_body(query: BatchQuery, answer) -> dict:

@@ -101,6 +101,8 @@ def worker_main(
     warm: bool = True,
     journal_path: Optional[str] = None,
     coordinator: Optional[str] = None,
+    epoch: Optional[str] = None,
+    fed=None,
 ) -> None:
     """Serve on the shared socket (runs in the forked child).
 
@@ -110,7 +112,8 @@ def worker_main(
     once the replay has caught up to the tail — a respawned worker
     never serves answers from a stale overlay.  ``coordinator`` is the
     supervisor's control URL; direct mutations on this worker then
-    answer 409 pointing at it.
+    answer 409 pointing at it.  A federation region worker passes its
+    cache ``epoch`` and the ``fed`` role answering ``POST /fed/*``.
 
     Runs until SIGTERM (graceful drain: stop accepting, finish
     in-flight requests, final scoreboard publish, return so the child
@@ -128,8 +131,10 @@ def worker_main(
         worker_id=worker_id,
         scoreboard=scoreboard,
         coordinator=coordinator,
+        epoch=epoch,
     )
     service.generation = generation
+    service.fed = fed
 
     drain = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: drain.set())

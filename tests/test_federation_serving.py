@@ -10,14 +10,21 @@ exactly the monolithic answers.  Ends with a chaos kill + respawn and
 a clean drain, like the CI federation smoke job.
 """
 
+import http.client
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro
 from repro.core import TTLPlanner, build_index
 from repro.core.batch import batch_plan
 from repro.query import BatchQuery
@@ -27,6 +34,7 @@ from repro.federation import (
     region_map_from_names,
 )
 from repro.federation.serve import FederationSupervisor
+from repro.resilience import ResilienceConfig
 
 
 def get(port, path):
@@ -281,3 +289,151 @@ class TestFederatedServing:
         # Runs last: drains the cluster; the fixture's stop() is then
         # a no-op on already-exited workers.
         assert cluster["sup"].drain(grace_s=10)
+
+
+@pytest.fixture(scope="module")
+def strict_router(cluster):
+    """The same shards behind a second router with tight request caps."""
+    sup = FederationSupervisor(
+        cluster["graph"],
+        cluster["sup"].manifest_path,
+        resilience=ResilienceConfig(max_body_bytes=1024, max_batch_pairs=8),
+        heartbeat_interval_s=0.1,
+    )
+    port = sup.start()
+    try:
+        sup.wait_ready(timeout_s=60)
+        yield port
+    finally:
+        sup.stop()
+
+
+def raw_request(port, method, path, body=None, headers=None):
+    """One request with exactly the given headers; a short timeout
+    turns a router that never answers into a failure."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=3)
+    try:
+        conn.putrequest(method, path)
+        headers = dict(headers or {})
+        if body is not None:
+            headers.setdefault("Content-Length", str(len(body)))
+        for key, value in headers.items():
+            conn.putheader(key, value)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+OVER_CAP_BATCH = json.dumps(
+    {"kind": "one_to_many", "source": 0, "targets": list(range(9)), "t": 0}
+).encode()
+
+
+@pytest.mark.parametrize(
+    "method, path, body, headers, status, field",
+    [
+        pytest.param(
+            "POST", "/v1/batch", b"x" * 4096, None, 413, None,
+            id="body-over-cap",
+        ),
+        pytest.param(
+            "POST", "/v1/batch", None, {"Content-Length": "-1"}, 400,
+            "Content-Length", id="negative-content-length",
+        ),
+        pytest.param(
+            "POST", "/v1/batch", b"{not json", None, 400, None,
+            id="malformed-json",
+        ),
+        pytest.param(
+            "GET", "/v1/nowhere", None, None, 404, None, id="unknown-path"
+        ),
+        pytest.param("PUT", "/v1/eap", b"", None, 501, None, id="put"),
+        pytest.param(
+            "POST", "/v1/batch", OVER_CAP_BATCH, None, 400, "targets",
+            id="batch-over-pair-cap",
+        ),
+    ],
+)
+def test_router_error_contract(
+    strict_router, method, path, body, headers, status, field
+):
+    """The router answers errors exactly as a worker does: the
+    worker's status, in the {"error", "field", "hint"} shape."""
+    got, payload = raw_request(strict_router, method, path, body, headers)
+    assert got == status
+    assert set(payload) == {"error", "field", "hint"}
+    assert payload["field"] == field
+    if field == "targets":
+        assert "max_batch_pairs" in payload["hint"]
+
+
+def test_cli_serve_federation_applies_chaos_plan(cluster, tmp_path):
+    """``serve --federation DIR --chaos PLAN`` hands the fault plan to
+    the region workers: the first query each worker plans fails with
+    the injected 500, the next one answers."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        json.dumps(
+            {
+                "seed": 3,
+                "rules": [
+                    {"site": "planner.query", "kind": "error", "times": 1}
+                ],
+            }
+        )
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.cli", "serve", "TwinCities",
+            "--federation", os.path.dirname(cluster["sup"].manifest_path),
+            "--chaos", str(plan), "--port", "0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+
+    def kill_group():
+        """SIGKILL the CLI and any region worker it left behind."""
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    watchdog = threading.Timer(120, kill_group)
+    watchdog.start()
+    try:
+        banner = []
+        port = None
+        for line in proc.stdout:
+            banner.append(line)
+            match = re.search(r"federation on http://[\d.]+:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        assert port is not None, "".join(banner)
+        assert "chaos plan active: 1 rules, seed 3\n" in banner
+
+        stops = cluster["manifest"].region_entry(0).stops
+        query = f"/v1/eap?from={stops[0]}&to={stops[-1]}&t=0"
+        with pytest.raises(urllib.error.HTTPError) as failed:
+            get(port, query)
+        assert failed.value.code == 500
+        assert "injected fault" in json.loads(failed.value.read())["error"]
+        status, body = get(port, query)
+        assert status == 200 and body["meta"]["worker"] == 0
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        assert "drained" in proc.stdout.read()
+    finally:
+        watchdog.cancel()
+        kill_group()
+        proc.wait(timeout=30)
+        proc.stdout.close()
