@@ -279,35 +279,25 @@ class DijkstraPlanner(RoutePlanner):
     def index_bytes(self) -> int:
         return 0
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
         path = earliest_arrival_path(self.graph, source, destination, t)
         if path is None:
             return None
         return Journey.from_path(path)
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
         path = latest_departure_path(self.graph, source, destination, t)
         if path is None:
             return None
         return Journey.from_path(path)
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
         best_path: Optional[Path] = None
         best_duration = INF
         # One full search per candidate departure: by far the heaviest
@@ -333,7 +323,7 @@ class DijkstraPlanner(RoutePlanner):
             return None
         return Journey.from_path(best_path)
 
-    def profile(self, source: int, destination: int, t: int, t_end: int):
+    def _profile(self, source: int, destination: int, t: int, t_end: int):
         """All non-dominated ``(dep, arr)`` journeys in the window, by
         sweeping the source's departure times (Lemma 6's enumeration).
 
@@ -343,8 +333,4 @@ class DijkstraPlanner(RoutePlanner):
         """
         from repro.core.profile_queries import oracle_profile
 
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return [(t, t)]
         return oracle_profile(self.graph, source, destination, t, t_end)

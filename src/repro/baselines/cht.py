@@ -261,13 +261,9 @@ class CHTPlanner(RoutePlanner):
     # EAP
     # ------------------------------------------------------------------
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         cone = self._down_cone(destination)
         dist: Dict[int, int] = {source << 1: t}
         parent: Dict[int, Tuple[int, object]] = {}
@@ -327,13 +323,9 @@ class CHTPlanner(RoutePlanner):
     # LDP
     # ------------------------------------------------------------------
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         cone = self._up_cone(source)
         # State 0: inside the journey's down-suffix (walking backward
         # from the destination); state 1: inside the up-prefix.
@@ -391,7 +383,7 @@ class CHTPlanner(RoutePlanner):
     # SDP (self-pruning descending-departure sweeps)
     # ------------------------------------------------------------------
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
         """SDP via descending departure-time sweeps.
@@ -402,11 +394,6 @@ class CHTPlanner(RoutePlanner):
         all later departures, so total work across sweeps stays close
         to one profile's worth.
         """
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         cone = self._down_cone(destination)
         n = self.graph.n
         best_arr = [INF] * (2 * n)  # persists across sweeps
@@ -459,7 +446,7 @@ class CHTPlanner(RoutePlanner):
         best = pairs.best_duration(t, t_end)
         if best is None:
             return None
-        journey = self.earliest_arrival(source, destination, best[0])
+        journey = self._earliest_arrival(source, destination, best[0])
         assert journey is not None
         return journey
 

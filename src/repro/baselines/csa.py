@@ -61,13 +61,9 @@ class CSAPlanner(RoutePlanner):
     # EAP
     # ------------------------------------------------------------------
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         self._gen += 1
         gen = self._gen
         eat, jp, stamp = self._eat, self._jp, self._stamp
@@ -111,13 +107,9 @@ class CSAPlanner(RoutePlanner):
     # LDP
     # ------------------------------------------------------------------
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         self._gen += 1
         gen = self._gen
         ldt, jp, stamp = self._ldt, self._jp, self._stamp
@@ -155,14 +147,9 @@ class CSAPlanner(RoutePlanner):
     # SDP (profile scan)
     # ------------------------------------------------------------------
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         profiles: dict = {}
         scanned = 0
         for c in self._by_dep_desc:
@@ -193,6 +180,6 @@ class CSAPlanner(RoutePlanner):
         dep, _, _ = best
         # Re-run the cheap EAP scan at the optimal departure to get the
         # actual connection sequence.
-        journey = self.earliest_arrival(source, destination, dep)
+        journey = self._earliest_arrival(source, destination, dep)
         assert journey is not None
         return journey

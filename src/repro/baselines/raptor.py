@@ -278,13 +278,9 @@ class RaptorPlanner(RoutePlanner):
     # Queries
     # ------------------------------------------------------------------
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         parent: Dict[int, Tuple] = {}
         best = self._forward.run(source, t, target=destination, parent=parent)
         if best[destination] >= INF:
@@ -294,13 +290,9 @@ class RaptorPlanner(RoutePlanner):
             return None
         return Journey.from_path(path)
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         # LDP(u -> v by t) == EAP(v -> u from -t) on the time reversal.
         parent: Dict[int, Tuple] = {}
         best = self._backward.run(
@@ -334,9 +326,7 @@ class RaptorPlanner(RoutePlanner):
         improve the arrival to appear (classic RAPTOR's per-round
         output).
         """
-        self._check_query(source, destination)
-        self.preprocess()
-        if source == destination:
+        if self._begin(source, destination):
             return [(0, t)]
         rounds = max_rounds if max_rounds is not None else self.graph.n
         tau = self._forward.run_rounds(source, t, rounds)
@@ -349,14 +339,9 @@ class RaptorPlanner(RoutePlanner):
                 previous = arr
         return result
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         from repro.algorithms.profiles import ParetoProfile
 
         dep_times = sorted(
@@ -375,4 +360,4 @@ class RaptorPlanner(RoutePlanner):
         answer = pairs.best_duration(t, t_end)
         if answer is None:
             return None
-        return self.earliest_arrival(source, destination, answer[0])
+        return self._earliest_arrival(source, destination, answer[0])

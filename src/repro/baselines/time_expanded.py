@@ -145,12 +145,9 @@ class TimeExpandedPlanner(RoutePlanner):
                     heapq.heappush(heap, (conn.arr, target))
         return best, reachable
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
         best, parents = self._forward_sweep(source, t, destination)
         if best is None:
             return None
@@ -172,13 +169,9 @@ class TimeExpandedPlanner(RoutePlanner):
     # LDP: backward sweep
     # ------------------------------------------------------------------
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         pos = bisect_right(self._times[destination], t) - 1
         if pos < 0:
             return None
@@ -228,14 +221,9 @@ class TimeExpandedPlanner(RoutePlanner):
     # SDP: departure-time sweep
     # ------------------------------------------------------------------
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         pairs = ParetoProfile()
         for dep in reversed(self.graph.departure_times(source)):
             if dep < t or dep > t_end:
@@ -249,4 +237,4 @@ class TimeExpandedPlanner(RoutePlanner):
         answer = pairs.best_duration(t, t_end)
         if answer is None:
             return None
-        return self.earliest_arrival(source, destination, answer[0])
+        return self._earliest_arrival(source, destination, answer[0])

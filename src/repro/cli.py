@@ -506,7 +506,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.index:
                 index = load_index(args.index, graph)
             else:
-                index = build_index(graph)
+                ttl = TTLPlanner(graph, build_jobs=args.build_jobs)
+                ttl.preprocess()
+                index = ttl.index
             # Forked workers inherit the heap index copy-on-write.
             if args.live:
                 from repro.live import LiveOverlayEngine
@@ -548,20 +550,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         return _serve_until_sigterm(supervisor, config.drain_grace_s)
 
+    index = (
+        load_index(args.index, graph, mmap=args.mmap) if args.index else None
+    )
     if args.live:
         from repro.live import LiveOverlayEngine
 
-        planner = LiveOverlayEngine(graph)
+        planner = LiveOverlayEngine(graph, index=index)
         endpoints = (
             "/stations /eap /ldp /sdp /healthz /metrics /resilience "
             "/live/events /live/stats /live/advance /live/clear"
         )
     else:
-        if args.index:
-            index = load_index(args.index, graph, mmap=args.mmap)
-            planner = TTLPlanner(graph, index=index)
-        else:
-            planner = TTLPlanner(graph, build_jobs=args.build_jobs)
+        planner = TTLPlanner(graph, index=index, build_jobs=args.build_jobs)
         endpoints = (
             "/stations /eap /ldp /sdp /profile /healthz /metrics "
             "/resilience"
@@ -945,7 +946,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hint is not None:
             print(f"  hint: {hint}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad arguments and unreadable files (a missing --index, say)
+        # end in the same one-line error as a ReproError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

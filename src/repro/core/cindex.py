@@ -31,7 +31,6 @@ from repro.core.compression import (
 from repro.core.index import LabelEntry, TTLIndex
 from repro.core.metrics import QueryMetrics
 from repro.core.sketch import (
-    Sketch,
     best_eap_sketch_from_lists,
     best_ldp_sketch_from_lists,
     best_sdp_sketch_from_lists,
@@ -258,61 +257,43 @@ class CompressedTTLPlanner(RoutePlanner):
         assert self.cindex is not None
         return self.cindex.materialized_out(u), self.cindex.materialized_in(v)
 
-    def _answer(
-        self, u: int, v: int, sketch: Optional[Sketch]
+    def _earliest_arrival(
+        self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
+        return self._journey(best_eap_sketch_from_lists, source, destination, t)
+
+    def _latest_departure(
+        self, source: int, destination: int, t: int
+    ) -> Optional[Journey]:
+        return self._journey(best_ldp_sketch_from_lists, source, destination, t)
+
+    def _shortest_duration(
+        self, source: int, destination: int, t: int, t_end: int
+    ) -> Optional[Journey]:
+        return self._journey(
+            best_sdp_sketch_from_lists, source, destination, t, t_end
+        )
+
+    def _journey(
+        self, select, source: int, destination: int, *window: int
+    ) -> Optional[Journey]:
+        """The counted sketch -> unfold tail of the journey queries;
+        ``select`` is one of the ``best_*_sketch_from_lists``."""
+        self.metrics.queries += 1
+        out_list, in_list = self._lists(source, destination)
+        sketch = select(
+            out_list, in_list, source, destination, *window,
+            metrics=self.metrics,
+        )
         if sketch is None:
             return None
         assert self.cindex is not None
         return sketch_to_journey(
-            self.cindex, sketch, u, v, self.concise, metrics=self.metrics
-        )
-
-    def earliest_arrival(
-        self, source: int, destination: int, t: int
-    ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
-        self.metrics.queries += 1
-        out_list, in_list = self._lists(source, destination)
-        best = best_eap_sketch_from_lists(
-            out_list, in_list, source, destination, t, metrics=self.metrics
-        )
-        return self._answer(source, destination, best)
-
-    def latest_departure(
-        self, source: int, destination: int, t: int
-    ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
-        self.metrics.queries += 1
-        out_list, in_list = self._lists(source, destination)
-        best = best_ldp_sketch_from_lists(
-            out_list, in_list, source, destination, t, metrics=self.metrics
-        )
-        return self._answer(source, destination, best)
-
-    def shortest_duration(
-        self, source: int, destination: int, t: int, t_end: int
-    ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
-        self.metrics.queries += 1
-        out_list, in_list = self._lists(source, destination)
-        best = best_sdp_sketch_from_lists(
-            out_list, in_list, source, destination, t, t_end,
+            self.cindex, sketch, source, destination, self.concise,
             metrics=self.metrics,
         )
-        return self._answer(source, destination, best)
 
-    def profile(self, source: int, destination: int, t: int, t_end: int):
+    def _profile(self, source: int, destination: int, t: int, t_end: int):
         """All non-dominated ``(dep, arr)`` journeys in the window,
         computed over the decompressed label groups.
 
@@ -322,11 +303,6 @@ class CompressedTTLPlanner(RoutePlanner):
         """
         from repro.core.profile_queries import profile_from_lists
 
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return [(t, t)]
-        self.preprocess()
         self.metrics.queries += 1
         out_list, in_list = self._lists(source, destination)
         return profile_from_lists(

@@ -15,6 +15,7 @@ from repro.core.build import OrderSpec, build_index
 from repro.core.index import TTLIndex
 from repro.core.metrics import QueryMetrics
 from repro.core.sketch import (
+    Sketch,
     best_eap_sketch,
     best_ldp_sketch,
     best_sdp_sketch,
@@ -119,58 +120,35 @@ class TTLPlanner(RoutePlanner):
     # Queries
     # ------------------------------------------------------------------
 
-    def _ready_index(self) -> TTLIndex:
-        self.preprocess()
-        assert self.index is not None
-        return self.index
-
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        index = self._ready_index()
-        self.metrics.queries += 1
-        sketch = best_eap_sketch(
-            index, source, destination, t, metrics=self.metrics
-        )
-        if sketch is None:
-            return None
-        return sketch_to_journey(
-            index, sketch, source, destination, self.concise,
-            metrics=self.metrics,
-        )
+        return self._journey("eap", source, destination, t)
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        index = self._ready_index()
-        self.metrics.queries += 1
-        sketch = best_ldp_sketch(
-            index, source, destination, t, metrics=self.metrics
-        )
-        if sketch is None:
-            return None
-        return sketch_to_journey(
-            index, sketch, source, destination, self.concise,
-            metrics=self.metrics,
-        )
+        return self._journey("ldp", source, destination, t)
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        index = self._ready_index()
+        return self._journey("sdp", source, destination, t, t_end)
+
+    def _journey(
+        self,
+        kind: str,
+        source: int,
+        destination: int,
+        t: int,
+        t_end: Optional[int] = None,
+    ) -> Optional[Journey]:
+        """The counted sketch -> unfold tail of the journey queries."""
+        index = self.index
+        assert index is not None
         self.metrics.queries += 1
-        sketch = best_sdp_sketch(
-            index, source, destination, t, t_end, metrics=self.metrics
+        sketch = best_sketch(
+            index, kind, source, destination, t, t_end, metrics=self.metrics
         )
         if sketch is None:
             return None
@@ -179,7 +157,7 @@ class TTLPlanner(RoutePlanner):
             metrics=self.metrics,
         )
 
-    def profile(self, source: int, destination: int, t: int, t_end: int):
+    def _profile(self, source: int, destination: int, t: int, t_end: int):
         """All non-dominated ``(dep, arr)`` journeys in the window.
 
         See :mod:`repro.core.profile_queries`.
@@ -193,12 +171,37 @@ class TTLPlanner(RoutePlanner):
         # EAP/LDP/SDP label merges stay check-free: they are bounded
         # and the per-query overhead would cost more than it protects.
         check_deadline()
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return [(t, t)]
-        index = self._ready_index()
+        assert self.index is not None
         self.metrics.queries += 1
         return ttl_profile(
-            index, source, destination, t, t_end, metrics=self.metrics
+            self.index, source, destination, t, t_end, metrics=self.metrics
         )
+
+
+def best_sketch(
+    index: TTLIndex,
+    kind: str,
+    source: int,
+    destination: int,
+    t: int,
+    t_end: Optional[int] = None,
+    metrics: Optional[QueryMetrics] = None,
+) -> Optional[Sketch]:
+    """The optimal sketch of one ``eap``, ``ldp`` or ``sdp`` query.
+
+    ``t`` is the departure bound of EAP and SDP and the arrival
+    deadline of LDP; ``t_end`` closes the SDP window.  The selectors
+    are looked up in this module at call time.
+    """
+    if kind == "eap":
+        return best_eap_sketch(
+            index, source, destination, t, metrics=metrics
+        )
+    if kind == "ldp":
+        return best_ldp_sketch(
+            index, source, destination, t, metrics=metrics
+        )
+    assert t_end is not None
+    return best_sdp_sketch(
+        index, source, destination, t, t_end, metrics=metrics
+    )

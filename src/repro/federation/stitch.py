@@ -381,13 +381,9 @@ class FederatedPlanner(RoutePlanner):
     # RoutePlanner queries
     # ------------------------------------------------------------------
 
-    def earliest_arrival(
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         self._count(source, destination)
         arr = self._eap_value(source, destination, t)
         if arr >= INF:
@@ -395,13 +391,9 @@ class FederatedPlanner(RoutePlanner):
         dep = self._ldp_value(source, destination, arr)
         return Journey(source, destination, dep, arr)
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         self._count(source, destination)
         dep = self._ldp_value(source, destination, t)
         if dep <= NEG_INF:
@@ -409,14 +401,9 @@ class FederatedPlanner(RoutePlanner):
         arr = self._eap_value(source, destination, dep)
         return Journey(source, destination, dep, arr)
 
-    def shortest_duration(
+    def _shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        self.preprocess()
         self._count(source, destination)
         best = ParetoProfile(
             self._profile_pairs(source, destination, t, t_end)
@@ -426,30 +413,24 @@ class FederatedPlanner(RoutePlanner):
         dep, arr, _ = best
         return Journey(source, destination, dep, arr)
 
-    def profile(
+    def _profile(
         self, source: int, destination: int, t: int, t_end: int
     ) -> List[Tuple[int, int]]:
         """All non-dominated ``(dep, arr)`` journeys in the window —
         byte-identical to the monolithic index's profile."""
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        if source == destination:
-            return [(t, t)]
-        self.preprocess()
         self._count(source, destination)
         return self._profile_pairs(source, destination, t, t_end)
 
     def one_to_many(
         self, source: int, targets: Iterable[int], t: int
     ) -> Dict[int, Optional[int]]:
-        """Federated one-to-many earliest arrivals (matches
-        :func:`repro.core.batch.one_to_many_eat` semantics)."""
-        self._check_query(source, source)
-        self.preprocess()
+        """Federated one-to-many earliest arrivals: ``target -> arrival``
+        (``None`` when unreachable, ``t`` for the source itself) — the
+        ``one_to_many`` batch answer of :func:`repro.core.batch.batch_plan`.
+        """
         result: Dict[int, Optional[int]] = {}
         for target in targets:
-            self._check_query(source, target)
-            if target == source:
+            if self._begin(source, target):
                 result[target] = t
                 continue
             self._count(source, target)

@@ -18,6 +18,10 @@ answers each query with a two-stage safety argument:
    covered by a small fixpoint.  If even the optimistic bound cannot
    beat the static answer, the fast path is safe.
 
+Both stages are one function, :meth:`LiveOverlayEngine._certificate`;
+the query paths decide with it and the serving cache's
+:meth:`~LiveOverlayEngine.static_answer_valid` sweep certifies with it.
+
 When either stage fails, the query falls back to temporal Dijkstra on
 the :class:`~repro.live.overlay.OverlayTimetable`, so every answer —
 fast path or fallback — is exact for the live schedule.  Per-query
@@ -39,12 +43,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.algorithms.temporal_dijkstra import DijkstraPlanner
 from repro.core.build import OrderSpec
 from repro.core.index import TTLIndex
-from repro.core.queries import TTLPlanner
-from repro.core.sketch import (
-    best_eap_sketch,
-    best_ldp_sketch,
-    best_sdp_sketch,
-)
+from repro.core.metrics import QueryMetrics
+from repro.core.queries import TTLPlanner, best_sketch
+from repro.core.sketch import Sketch, best_eap_sketch, best_ldp_sketch
 from repro.core.unfold import sketch_to_journey
 from repro.errors import LiveEventError
 from repro.graph.timetable import TimetableGraph
@@ -54,6 +55,9 @@ from repro.live.overlay import OverlayTimetable, PatchSet
 from repro.live.taint import TaintAnalyzer, TaintReport
 from repro.planner import RoutePlanner
 from repro.timeutil import INF, NEG_INF
+
+#: The certificate verdict of a query the sealed index answers exactly.
+FAST = "fast"
 
 
 class LiveQueryStats:
@@ -178,8 +182,12 @@ class LiveOverlayEngine(RoutePlanner):
 
     @property
     def metrics(self):
-        """Query counters of the wrapped TTL planner (fast-path
-        queries; fallback searches are tracked in :attr:`stats`)."""
+        """Query counters of the wrapped TTL planner.
+
+        Every query that reads the sealed index counts: fast-path
+        answers (sketch and unfold) and the static sketch a fallback
+        query was certified against.  Fallback searches on the overlay
+        are tracked in :attr:`stats`."""
         return self._ttl.metrics
 
     @property
@@ -357,51 +365,68 @@ class LiveOverlayEngine(RoutePlanner):
     ) -> bool:
         """Certify that the static index's answer is exact right now.
 
-        Runs the same two-stage safety argument the query paths use —
-        the TaintAnalyzer over the active patch-set (Definition 7 /
-        Lemma 4) plus the added-connection improvement bound — without
-        materializing the journey.  ``True`` is a proof that re-running
-        the query would take the fast path and reproduce the static
-        answer byte for byte; ``False`` means tainted, improvable, or
-        punted (candidate flood), i.e. *cannot certify* — the serving
-        cache treats all three as invalidation.
+        Runs :meth:`_certificate`, the function the query paths
+        decide with, without materializing the journey or counting a
+        query.  ``True`` is a proof that re-running the query would
+        take the fast path and reproduce the static answer byte for
+        byte; ``False`` means tainted, improvable, or punted (candidate
+        flood, or a profile under an active patch), i.e. *cannot
+        certify* — the serving cache treats all three as invalidation.
         """
-        if source == destination:
-            return True
-        state = self._ready_state()
+        _, verdict = self._certificate(
+            self._ready_state(), kind, source, destination, t, t_end
+        )
+        return verdict == FAST
+
+    def _certificate(
+        self,
+        state: _LiveState,
+        kind: str,
+        u: int,
+        v: int,
+        t: int,
+        t_end: Optional[int] = None,
+        metrics: Optional[QueryMetrics] = None,
+    ) -> Tuple[Optional[Sketch], str]:
+        """The live schedule's safety argument for one query.
+
+        Returns the static index's optimal sketch (``None`` when it
+        has no journey, and always for profile queries) and the
+        verdict: :data:`FAST` when that answer is exact under
+        ``state``'s patch-set, else the fallback reason — ``"taint"``
+        (the sketch rides a patched connection, Definition 7 / Lemma
+        4), ``"improvement"`` (an added connection could beat it) or
+        ``"flood"`` (too many candidates to decide, or a profile
+        frontier, which is never certified point by point).  For LDP
+        ``t`` is the arrival deadline.  ``metrics`` counts the sketch's
+        label scan; certification sweeps pass none.
+        """
+        if u == v:
+            return None, FAST
+        sketch = None
+        if kind in ("eap", "ldp", "sdp"):
+            assert self._ttl.index is not None
+            sketch = best_sketch(
+                self._ttl.index, kind, u, v, t, t_end, metrics=metrics
+            )
         if state.patch.is_empty():
-            return True
-        index = self._ttl.index
-        assert index is not None
+            return sketch, FAST
+        if sketch is not None and state.taint.sketch_tainted(sketch):
+            return sketch, "taint"
+        verdict: Optional[bool] = None
         if kind == "eap":
-            sketch = best_eap_sketch(index, source, destination, t)
-            if sketch is not None and state.taint.sketch_tainted(sketch):
-                return False
             bound = sketch.arr if sketch is not None else INF
-            verdict = self._eap_improvable(
-                state, source, destination, t, bound
-            )
+            verdict = self._eap_improvable(state, u, v, t, bound)
         elif kind == "ldp":
-            sketch = best_ldp_sketch(index, source, destination, t)
-            if sketch is not None and state.taint.sketch_tainted(sketch):
-                return False
             bound = sketch.dep if sketch is not None else NEG_INF
-            verdict = self._ldp_improvable(
-                state, source, destination, t, bound
-            )
+            verdict = self._ldp_improvable(state, u, v, t, bound)
         elif kind == "sdp":
-            if t_end is None:
-                return False
-            sketch = best_sdp_sketch(index, source, destination, t, t_end)
-            if sketch is not None and state.taint.sketch_tainted(sketch):
-                return False
+            assert t_end is not None
             bound = sketch.duration if sketch is not None else INF
-            verdict = self._sdp_improvable(
-                state, source, destination, t, t_end, bound
-            )
-        else:
-            return False
-        return verdict is False
+            verdict = self._sdp_improvable(state, u, v, t, t_end, bound)
+        if verdict is None:
+            return sketch, "flood"
+        return sketch, "improvement" if verdict else FAST
 
     # ------------------------------------------------------------------
     # Optimistic bounds through the static index
@@ -573,77 +598,66 @@ class LiveOverlayEngine(RoutePlanner):
     # Queries
     # ------------------------------------------------------------------
 
-    def earliest_arrival(
+    def _begin(
+        self,
+        source: int,
+        destination: int,
+        t: int = 0,
+        t_end: Optional[int] = None,
+    ) -> bool:
+        same_station = super()._begin(source, destination, t, t_end)
+        # Every valid query is a fast-path answer until a fallback
+        # says otherwise; a same-station answer never searches.
+        self._last_fast_path = True
+        return same_station
+
+    def _earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._last_fast_path = True
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        state = self._ready_state()
-        self.stats.queries += 1
-        if state.patch.is_empty():
-            self.stats.fast_path += 1
-            return self._ttl.earliest_arrival(source, destination, t)
-        self._last_fast_path = False
-        index = self._ttl.index
-        assert index is not None
-        sketch = best_eap_sketch(index, source, destination, t)
-        if sketch is not None and state.taint.sketch_tainted(sketch):
-            self.stats.fallback_taint += 1
-            return state.fallback.earliest_arrival(source, destination, t)
-        bound = sketch.arr if sketch is not None else INF
-        verdict = self._eap_improvable(state, source, destination, t, bound)
-        if verdict is None:
-            self.stats.fallback_flood += 1
-            return state.fallback.earliest_arrival(source, destination, t)
-        if verdict:
-            self.stats.fallback_improvement += 1
-            return state.fallback.earliest_arrival(source, destination, t)
-        self.stats.fast_path += 1
-        self._last_fast_path = True
-        if sketch is None:
-            return None
-        return sketch_to_journey(
-            index, sketch, source, destination, self._ttl.concise
-        )
+        return self._journey("eap", source, destination, t)
 
-    def latest_departure(
+    def _latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._last_fast_path = True
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        state = self._ready_state()
-        self.stats.queries += 1
-        if state.patch.is_empty():
-            self.stats.fast_path += 1
-            return self._ttl.latest_departure(source, destination, t)
-        self._last_fast_path = False
-        index = self._ttl.index
-        assert index is not None
-        sketch = best_ldp_sketch(index, source, destination, t)
-        if sketch is not None and state.taint.sketch_tainted(sketch):
-            self.stats.fallback_taint += 1
-            return state.fallback.latest_departure(source, destination, t)
-        bound = sketch.dep if sketch is not None else NEG_INF
-        verdict = self._ldp_improvable(state, source, destination, t, bound)
-        if verdict is None:
-            self.stats.fallback_flood += 1
-            return state.fallback.latest_departure(source, destination, t)
-        if verdict:
-            self.stats.fallback_improvement += 1
-            return state.fallback.latest_departure(source, destination, t)
-        self.stats.fast_path += 1
-        self._last_fast_path = True
-        if sketch is None:
-            return None
-        return sketch_to_journey(
-            index, sketch, source, destination, self._ttl.concise
-        )
+        return self._journey("ldp", source, destination, t)
 
-    def profile(self, source: int, destination: int, t: int, t_end: int):
+    def _shortest_duration(
+        self, source: int, destination: int, t: int, t_end: int
+    ) -> Optional[Journey]:
+        return self._journey("sdp", source, destination, t, t_end)
+
+    def _journey(
+        self,
+        kind: str,
+        source: int,
+        destination: int,
+        t: int,
+        t_end: Optional[int] = None,
+    ) -> Optional[Journey]:
+        """Unfold the static sketch when its certificate holds, else
+        search the overlay.  The sketch and the unfold are counted in
+        :attr:`metrics` like the static planner's."""
+        state = self._ready_state()
+        self.metrics.queries += 1
+        sketch, verdict = self._certificate(
+            state, kind, source, destination, t, t_end, metrics=self.metrics
+        )
+        if self._route(verdict):
+            if sketch is None:
+                return None
+            return sketch_to_journey(
+                self._ttl.index, sketch, source, destination,
+                self._ttl.concise, metrics=self.metrics,
+            )
+        fallback = state.fallback
+        if kind == "eap":
+            return fallback.earliest_arrival(source, destination, t)
+        if kind == "ldp":
+            return fallback.latest_departure(source, destination, t)
+        assert t_end is not None
+        return fallback.shortest_duration(source, destination, t, t_end)
+
+    def _profile(self, source: int, destination: int, t: int, t_end: int):
         """All non-dominated ``(dep, arr)`` journeys in the window,
         exact for the live schedule.
 
@@ -653,60 +667,22 @@ class LiveOverlayEngine(RoutePlanner):
         the exact departure-time sweep on the overlay (counted as a
         punt, like the candidate-flood fallbacks).
         """
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        self._last_fast_path = True
-        if source == destination:
-            return [(t, t)]
         state = self._ready_state()
-        self.stats.queries += 1
-        if state.patch.is_empty():
-            self.stats.fast_path += 1
+        _, verdict = self._certificate(
+            state, "profile", source, destination, t, t_end
+        )
+        if self._route(verdict):
             return self._ttl.profile(source, destination, t, t_end)
-        self._last_fast_path = False
-        self.stats.fallback_flood += 1
         return state.fallback.profile(source, destination, t, t_end)
 
-    def shortest_duration(
-        self, source: int, destination: int, t: int, t_end: int
-    ) -> Optional[Journey]:
-        self._check_query(source, destination)
-        self._check_window(t, t_end)
-        self._last_fast_path = True
-        if source == destination:
-            return Journey(source, destination, t, t, path=[])
-        state = self._ready_state()
+    def _route(self, verdict: str) -> bool:
+        """Count one query's certificate verdict in :attr:`stats`;
+        True when it takes the fast path."""
         self.stats.queries += 1
-        if state.patch.is_empty():
+        if verdict == FAST:
             self.stats.fast_path += 1
-            return self._ttl.shortest_duration(source, destination, t, t_end)
+            return True
         self._last_fast_path = False
-        index = self._ttl.index
-        assert index is not None
-        sketch = best_sdp_sketch(index, source, destination, t, t_end)
-        if sketch is not None and state.taint.sketch_tainted(sketch):
-            self.stats.fallback_taint += 1
-            return state.fallback.shortest_duration(
-                source, destination, t, t_end
-            )
-        bound = sketch.duration if sketch is not None else INF
-        verdict = self._sdp_improvable(
-            state, source, destination, t, t_end, bound
-        )
-        if verdict is None:
-            self.stats.fallback_flood += 1
-            return state.fallback.shortest_duration(
-                source, destination, t, t_end
-            )
-        if verdict:
-            self.stats.fallback_improvement += 1
-            return state.fallback.shortest_duration(
-                source, destination, t, t_end
-            )
-        self.stats.fast_path += 1
-        self._last_fast_path = True
-        if sketch is None:
-            return None
-        return sketch_to_journey(
-            index, sketch, source, destination, self._ttl.concise
-        )
+        counter = "fallback_" + verdict
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        return False

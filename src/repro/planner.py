@@ -15,8 +15,13 @@ The unified entry point is :meth:`RoutePlanner.plan`: it takes a
 frozen :class:`~repro.query.QueryRequest` and dispatches on its
 ``query_type``, so the HTTP service, the federation stitcher, the live
 engine, and the benchmark harness never switch-case over method
-signatures themselves.  The per-type methods remain as the
-implementation surface (and as the stable legacy API).
+signatures themselves.  The per-type methods are the stable legacy
+API, and they hold the query contract: each validates its stations
+(and window), answers a same-station query as ``Journey(s, s, t, t)``
+(``[(t, t)]`` for profile), calls ``preprocess()``, and only then
+calls the subclass's search hook (``_earliest_arrival``,
+``_latest_departure``, ``_shortest_duration``, ``_profile``).  The
+base class validates; each subclass only searches.
 
 Each journey query returns a :class:`~repro.journey.Journey` or
 ``None`` when no feasible path exists.  ``preprocess()`` builds
@@ -81,29 +86,35 @@ class RoutePlanner(abc.ABC):
         """Approximate size in bytes of the preprocessed structures."""
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries: the contract of Definitions 2-4, written once
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def earliest_arrival(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
         """EAP: the path starting from ``source`` no sooner than ``t``
         that reaches ``destination`` earliest (Definition 2)."""
+        if self._begin(source, destination):
+            return Journey(source, destination, t, t, path=[])
+        return self._earliest_arrival(source, destination, t)
 
-    @abc.abstractmethod
     def latest_departure(
         self, source: int, destination: int, t: int
     ) -> Optional[Journey]:
         """LDP: the path ending at ``destination`` no later than ``t``
         that leaves ``source`` latest (Definition 3)."""
+        if self._begin(source, destination):
+            return Journey(source, destination, t, t, path=[])
+        return self._latest_departure(source, destination, t)
 
-    @abc.abstractmethod
     def shortest_duration(
         self, source: int, destination: int, t: int, t_end: int
     ) -> Optional[Journey]:
         """SDP: the minimum-duration path within ``[t, t_end]``
         (Definition 4)."""
+        if self._begin(source, destination, t, t_end):
+            return Journey(source, destination, t, t, path=[])
+        return self._shortest_duration(source, destination, t, t_end)
 
     def profile(
         self, source: int, destination: int, t: int, t_end: int
@@ -112,9 +123,62 @@ class RoutePlanner(abc.ABC):
         ``[t, t_end]``, ascending by departure.
 
         Labelling-based planners answer this from their label sets;
-        backends without a feasible implementation inherit this default
-        and raise :class:`~repro.errors.UnsupportedQueryError`.
+        backends that do not override :meth:`_profile` raise
+        :class:`~repro.errors.UnsupportedQueryError` for every call.
         """
+        if type(self)._profile is RoutePlanner._profile:
+            raise UnsupportedQueryError(self.name, "profile")
+        if self._begin(source, destination, t, t_end):
+            return [(t, t)]
+        return self._profile(source, destination, t, t_end)
+
+    def _begin(
+        self,
+        source: int,
+        destination: int,
+        t: int = 0,
+        t_end: Optional[int] = None,
+    ) -> bool:
+        """Validate a query and build the index; True when
+        ``source == destination`` (the caller answers without search).
+        """
+        n = self.graph.n
+        if not 0 <= source < n:
+            raise QueryError(f"unknown source station: {source}")
+        if not 0 <= destination < n:
+            raise QueryError(f"unknown destination station: {destination}")
+        if t_end is not None and t_end < t:
+            raise QueryError(f"empty query window: [{t}, {t_end}]")
+        if source == destination:
+            return True
+        self.preprocess()
+        return False
+
+    # The search hooks may assume ``source != destination``, both
+    # stations valid, ``t <= t_end`` and a built index.
+
+    @abc.abstractmethod
+    def _earliest_arrival(
+        self, source: int, destination: int, t: int
+    ) -> Optional[Journey]:
+        """EAP search hook."""
+
+    @abc.abstractmethod
+    def _latest_departure(
+        self, source: int, destination: int, t: int
+    ) -> Optional[Journey]:
+        """LDP search hook."""
+
+    @abc.abstractmethod
+    def _shortest_duration(
+        self, source: int, destination: int, t: int, t_end: int
+    ) -> Optional[Journey]:
+        """SDP search hook."""
+
+    def _profile(
+        self, source: int, destination: int, t: int, t_end: int
+    ) -> List[Tuple[int, int]]:
+        """Profile search hook; the default marks it unsupported."""
         raise UnsupportedQueryError(self.name, "profile")
 
     # ------------------------------------------------------------------
@@ -124,8 +188,8 @@ class RoutePlanner(abc.ABC):
     def plan(self, request: QueryRequest) -> QueryResult:
         """Answer any query type from one :class:`QueryRequest`.
 
-        This is the single switch-case over query types in the
-        codebase; every other consumer builds a request and calls here.
+        This is the one dispatch from a request to the per-type
+        methods; every consumer builds a request and calls here.
         """
         request.validated()
         kind = request.query_type
@@ -159,19 +223,3 @@ class RoutePlanner(abc.ABC):
         if request.max_results is not None:
             pairs = pairs[: request.max_results]
         return QueryResult(request, pairs=tuple(tuple(p) for p in pairs))
-
-    # ------------------------------------------------------------------
-    # Shared validation helpers
-    # ------------------------------------------------------------------
-
-    def _check_query(self, source: int, destination: int) -> None:
-        n = self.graph.n
-        if not 0 <= source < n:
-            raise QueryError(f"unknown source station: {source}")
-        if not 0 <= destination < n:
-            raise QueryError(f"unknown destination station: {destination}")
-
-    @staticmethod
-    def _check_window(t: int, t_end: int) -> None:
-        if t_end < t:
-            raise QueryError(f"empty query window: [{t}, {t_end}]")

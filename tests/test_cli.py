@@ -292,3 +292,123 @@ class TestBuildFarmCli:
         out = capsys.readouterr().out
         assert "resumed" in out
         assert_index_files_equal(serial, resumed)
+
+
+class TestServeIndexFlags:
+    """``serve`` adopts ``--index``/``--mmap``/``--build-jobs`` in
+    every branch, and a missing index file is a clean CLI error."""
+
+    @staticmethod
+    def _serve(args, timeout=60):
+        """Start single-process ``repro-ttl serve ...`` and read its
+        output up to the banner.  Returns ``(proc, port, output,
+        kill, watchdog)``; ``port`` is ``None`` when the process ended
+        first.  The watchdog kills a server that never prints one."""
+        import os
+        import re
+        import subprocess
+        import sys
+        import threading
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", *args,
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        kill = proc.kill
+        watchdog = threading.Timer(timeout, kill)
+        watchdog.start()
+        output = []
+        port = None
+        for line in proc.stdout:
+            output.append(line)
+            match = re.search(r"serving \S+ on http://[\d.]+:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        return proc, port, output, kill, watchdog
+
+    def test_live_serves_the_saved_index(self, tmp_path, capsys):
+        import json
+        import urllib.request
+
+        # A random-order index has far more labels than the hub order
+        # a rebuild would use, so /metrics shows which one is served.
+        saved = tmp_path / "random.ttl"
+        assert main(
+            ["build", "Austin", str(saved), "--order", "random"]
+        ) == 0
+        from repro.core.serialize import load_index
+        from repro.datasets import load_dataset
+
+        labels = load_index(str(saved), load_dataset("Austin")).num_labels
+        proc, port, output, kill, watchdog = self._serve(
+            ["Austin", "--live", "--index", str(saved), "--mmap"]
+        )
+        try:
+            assert port is not None, "".join(output)
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/v1/metrics", timeout=10
+            ) as response:
+                body = json.loads(response.read())
+            assert body["data"]["index"]["num_labels"] == labels
+        finally:
+            kill()
+            watchdog.cancel()
+            proc.wait()
+
+    @pytest.mark.parametrize(
+        "extra", [["--live", "--mmap"], ["--mmap"], []],
+        ids=["live-mmap", "mmap", "heap"],
+    )
+    def test_missing_index_is_a_clean_error(self, tmp_path, extra):
+        missing = tmp_path / "missing.ttl"
+        proc, port, output, kill, watchdog = self._serve(
+            ["Austin", "--scale", "0.4", "--index", str(missing), *extra]
+        )
+        try:
+            assert port is None, "served without its index"
+            assert proc.wait() == 2
+            text = "".join(output)
+            assert text.startswith("error: ") and str(missing) in text
+            assert "Traceback" not in text
+        finally:
+            kill()
+            watchdog.cancel()
+            proc.wait()
+
+    def test_prefork_build_honours_build_jobs(self, monkeypatch, capsys):
+        import repro.cli
+        import repro.serving
+
+        factories = []
+
+        class Supervisor:
+            coordinator_url = None
+
+            def __init__(self, factory, **kwargs):
+                factories.append(factory)
+
+            def start(self):
+                return 0
+
+            def wait_ready(self):
+                pass
+
+        monkeypatch.setattr(repro.serving, "ServingSupervisor", Supervisor)
+        monkeypatch.setattr(
+            repro.cli, "_serve_until_sigterm", lambda sup, grace: 0
+        )
+        assert main(
+            ["serve", "Austin", "--scale", "0.4", "--workers", "2",
+             "--build-jobs", "2"]
+        ) == 0
+        (factory,) = factories
+        build = factory().index.build_stats
+        assert build.extra.get("jobs") == 2

@@ -259,3 +259,110 @@ class TestStats:
         assert snapshot["queries"] == stats.queries
         stats.reset()
         assert stats.queries == 0
+
+
+class TestCertificate:
+    """The cache's proof and the query's decision are one function:
+    ``static_answer_valid`` must predict ``last_query_fast_path``."""
+
+    @staticmethod
+    def _query_stream(engine, graph, rng, count):
+        """Answer ``count`` seeded queries of every type, checking the
+        certificate against the routing decision of each."""
+        from repro.query import QUERY_TYPES, QueryRequest
+
+        for _ in range(count):
+            kind = rng.choice(QUERY_TYPES)
+            u = rng.randrange(graph.n)
+            v = u if rng.random() < 0.1 else rng.randrange(graph.n)
+            t = rng.randrange(21600, 79200)
+            t_end = t + rng.randrange(0, 10800)
+            before = (engine.stats.snapshot(), engine.metrics.snapshot())
+            # The cache certifies LDP entries by their one time, the
+            # arrival deadline.
+            certified = engine.static_answer_valid(
+                kind, u, v, t_end if kind == "ldp" else t, t_end
+            )
+            assert (
+                engine.stats.snapshot(), engine.metrics.snapshot()
+            ) == before, "a certification sweep was counted as a query"
+            engine.plan(QueryRequest(kind, u, v, t=t, t_end=t_end))
+            assert certified == engine.last_query_fast_path, (
+                kind, u, v, t, t_end,
+            )
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_certificate_equals_fast_path(self, seed):
+        import random
+
+        from repro.datasets import load_dataset
+
+        graph = load_dataset("Austin")
+        engine = LiveOverlayEngine(graph)
+        engine.preprocess()
+        rng = random.Random(seed)
+        self._query_stream(engine, graph, rng, 80)  # empty patch
+        assert engine.stats.fallbacks == 0
+        feed = synthetic_feed(
+            graph, rate=0.2, seed=seed, cancel_share=0.3, extra_share=0.5
+        )
+        for step, _ in enumerate(replay(engine, feed)):
+            if step % 10 == 0:
+                self._query_stream(engine, graph, rng, 15)
+        self._query_stream(engine, graph, rng, 80)
+        stats = engine.stats
+        assert stats.fast_path and stats.fallback_taint
+        assert stats.fallback_improvement and stats.fallback_flood
+
+    def test_fast_path_answers_count_in_metrics(self, engine, route_graph):
+        """Under an active patch each fast-path answer is one counted
+        query with a counted label scan, as on the static planner."""
+        from repro.core import TTLPlanner
+
+        static = TTLPlanner(route_graph, index=engine.index)
+        trip_id = sorted(route_graph.trips)[0]
+        engine.apply_event(TripDelay(trip_id=trip_id, delay=40))
+        assert not engine.patch.is_empty()
+        scanned = 0
+        for u in range(route_graph.n):
+            for v in range(route_graph.n):
+                if u == v:
+                    continue
+                live_before = engine.metrics.snapshot()
+                static_before = static.metrics.snapshot()
+                engine.earliest_arrival(u, v, 0)
+                if not engine.last_query_fast_path:
+                    continue
+                static.earliest_arrival(u, v, 0)
+                live_after = engine.metrics.snapshot()
+                static_after = static.metrics.snapshot()
+                for counter in ("queries", "labels_scanned",
+                                "sketches_generated"):
+                    assert (
+                        live_after[counter] - live_before[counter]
+                        == static_after[counter] - static_before[counter]
+                    ), (counter, u, v)
+                assert live_after["queries"] == live_before["queries"] + 1
+                scanned += (
+                    live_after["labels_scanned"]
+                    - live_before["labels_scanned"]
+                )
+        assert engine.stats.fast_path > 0 and scanned > 0
+
+    def test_same_station_is_fast_path(self, engine, route_graph):
+        trip_id = sorted(route_graph.trips)[0]
+        engine.apply_event(TripCancellation(trip_id=trip_id))
+        for u in range(route_graph.n):
+            for v in range(route_graph.n):
+                if u == v:
+                    continue
+                engine.earliest_arrival(u, v, 0)
+                if not engine.last_query_fast_path:
+                    break
+            else:
+                continue
+            break
+        assert not engine.last_query_fast_path
+        engine.shortest_duration(3, 3, 10, 20)
+        assert engine.last_query_fast_path
+        assert engine.static_answer_valid("profile", 3, 3, 10, 20)

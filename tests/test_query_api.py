@@ -12,6 +12,7 @@ from repro.algorithms.temporal_dijkstra import DijkstraPlanner
 from repro.baselines.csa import CSAPlanner
 from repro.core import TTLPlanner
 from repro.errors import QueryError, UnsupportedQueryError
+from repro.journey import Journey
 from repro.query import QUERY_TYPES, QueryRequest
 from tests.conftest import make_random_route_graph
 
@@ -170,3 +171,171 @@ class TestCapabilityError:
             assert "profile" in body["error"]
         finally:
             svc.stop()
+
+
+# ----------------------------------------------------------------------
+# The planner contract every RoutePlanner subclass shares
+# ----------------------------------------------------------------------
+
+
+def _contract_planners(graph, tmp_dir):
+    """One instance of every RoutePlanner subclass over ``graph``."""
+    import os
+
+    from repro.baselines.cht import CHTPlanner
+    from repro.baselines.raptor import RaptorPlanner
+    from repro.baselines.time_expanded import TimeExpandedPlanner
+    from repro.core.cindex import CompressedTTLPlanner
+    from repro.federation import (
+        build_federation,
+        load_federation,
+        partition_graph,
+    )
+    from repro.live.engine import LiveOverlayEngine
+
+    build_federation(graph, partition_graph(graph, 2, seed=3), tmp_dir)
+    return {
+        "Dijkstra": DijkstraPlanner(graph),
+        "CSA": CSAPlanner(graph),
+        "CHT": CHTPlanner(graph),
+        "RAPTOR": RaptorPlanner(graph),
+        "TimeExpanded": TimeExpandedPlanner(graph),
+        "TTL": TTLPlanner(graph),
+        "C-TTL": CompressedTTLPlanner(graph),
+        "Live": LiveOverlayEngine(graph),
+        "Federated": load_federation(
+            os.path.join(tmp_dir, "federation.json"), graph
+        ),
+    }
+
+
+#: Planners that answer profile queries; the rest raise
+#: UnsupportedQueryError for every profile call.
+_PROFILE_PLANNERS = {"Dijkstra", "TTL", "C-TTL", "Live", "Federated"}
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory):
+    rng = random.Random(31)
+    graph = make_random_route_graph(rng, 12, 8)
+    return graph, _contract_planners(
+        graph, str(tmp_path_factory.mktemp("fed"))
+    )
+
+
+_CONTRACT_NAMES = sorted(
+    ["Dijkstra", "CSA", "CHT", "RAPTOR", "TimeExpanded", "TTL", "C-TTL",
+     "Live", "Federated"]
+)  # the keys of _contract_planners, needed at collection time
+
+
+def _journey_calls(planner):
+    """(name, call(source, destination, t, t_end)) per journey query."""
+    return [
+        ("eap", lambda s, d, t, e: planner.earliest_arrival(s, d, t)),
+        ("ldp", lambda s, d, t, e: planner.latest_departure(s, d, t)),
+        ("sdp", lambda s, d, t, e: planner.shortest_duration(s, d, t, e)),
+    ]
+
+
+class TestPlannerContract:
+    """Every planner validates, answers same-station queries and
+    reports missing capabilities the same way."""
+
+    def test_covers_every_subclass(self, contract):
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.planner import RoutePlanner
+
+        _, planners = contract
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+
+        def leaves(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from leaves(sub)
+
+        in_package = {
+            cls for cls in leaves(RoutePlanner)
+            if cls.__module__.startswith("repro.")
+        }
+        assert {type(p) for p in planners.values()} == in_package
+
+    @pytest.mark.parametrize("name", _CONTRACT_NAMES)
+    def test_unknown_stations(self, contract, name):
+        graph, planners = contract
+        planner = planners[name]
+        n = graph.n
+        calls = _journey_calls(planner)
+        if name in _PROFILE_PLANNERS:
+            calls.append(
+                ("profile", lambda s, d, t, e: planner.profile(s, d, t, e))
+            )
+        for _, call in calls:
+            for bad in (-1, n):
+                with pytest.raises(
+                    QueryError, match=f"^unknown source station: {bad}$"
+                ):
+                    call(bad, 0, 0, 100)
+                with pytest.raises(
+                    QueryError,
+                    match=f"^unknown destination station: {bad}$",
+                ):
+                    call(0, bad, 0, 100)
+
+    @pytest.mark.parametrize("name", _CONTRACT_NAMES)
+    def test_empty_window(self, contract, name):
+        _, planners = contract
+        planner = planners[name]
+        calls = [planner.shortest_duration]
+        if name in _PROFILE_PLANNERS:
+            calls.append(planner.profile)
+        for call in calls:
+            for s, d in ((0, 1), (2, 2)):
+                with pytest.raises(
+                    QueryError, match=r"^empty query window: \[50, 49\]$"
+                ):
+                    call(s, d, 50, 49)
+
+    @pytest.mark.parametrize("name", _CONTRACT_NAMES)
+    def test_same_station(self, contract, name):
+        graph, planners = contract
+        planner = planners[name]
+        for s in (0, graph.n - 1):
+            for _, call in _journey_calls(planner):
+                journey = call(s, s, 77, 90)
+                assert journey.to_dict() == Journey(
+                    s, s, 77, 77, path=[]
+                ).to_dict()
+            if name in _PROFILE_PLANNERS:
+                assert list(planner.profile(s, s, 77, 90)) == [(77, 77)]
+            result = planner.plan(QueryRequest("eap", s, s, t=77))
+            assert result.journey.to_dict() == Journey(
+                s, s, 77, 77, path=[]
+            ).to_dict()
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(_CONTRACT_NAMES) - _PROFILE_PLANNERS)
+    )
+    def test_profile_unsupported(self, contract, name):
+        _, planners = contract
+        planner = planners[name]
+        for s, d in ((0, 1), (3, 3)):
+            with pytest.raises(UnsupportedQueryError) as err:
+                planner.profile(s, d, 0, 100)
+            assert planner.name in str(err.value)
+            with pytest.raises(UnsupportedQueryError):
+                planner.plan(QueryRequest("profile", s, d, t=0, t_end=100))
+
+    @pytest.mark.parametrize("name", sorted(_PROFILE_PLANNERS))
+    def test_profile_matches_oracle(self, contract, name):
+        _, planners = contract
+        oracle = planners["Dijkstra"]
+        planner = planners[name]
+        for s, d in ((0, 1), (3, 7), (5, 2)):
+            assert list(planner.profile(s, d, 0, 300)) == list(
+                oracle.profile(s, d, 0, 300)
+            )
