@@ -50,15 +50,12 @@ def _filter_group(
         return candidate, 0
     kept = LabelGroup(candidate.hub, candidate.rank)
     dropped = 0
-    trips = candidate.trips
-    pivots = candidate.pivots
     for i in range(len(candidate)):
-        dep = candidate.deps[i]
-        arr = candidate.arrs[i]
+        dep, arr, trip, pivot = candidate.entry(i)
         if _covered(src_out, dst_in, dep, arr):
             dropped += 1
             continue
-        kept.append(dep, arr, trips[i], pivots[i])
+        kept.append(dep, arr, trip, pivot)
     return kept, dropped
 
 

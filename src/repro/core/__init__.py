@@ -17,7 +17,7 @@
 
 from repro.core.label import Label, LabelGroup
 from repro.core.metrics import QueryMetrics
-from repro.core.store import COLUMN_NAMES, GroupView, LabelStore, MappedGroupView
+from repro.core.store import COLUMN_NAMES, GroupView, LabelStore
 from repro.core.order import (
     approximation_order,
     betweenness_order,
@@ -48,7 +48,6 @@ __all__ = [
     "LabelGroup",
     "LabelStore",
     "GroupView",
-    "MappedGroupView",
     "COLUMN_NAMES",
     "QueryMetrics",
     "approximation_order",

@@ -28,7 +28,8 @@ from repro.core.compression import (
     ROUTE,
     merge_children,
 )
-from repro.core.index import LabelEntry, TTLIndex
+from repro.core.index import TTLIndex
+from repro.core.label import LabelEntry, LabelGroup
 from repro.core.metrics import QueryMetrics
 from repro.core.sketch import (
     best_eap_sketch_from_lists,
@@ -56,23 +57,6 @@ class _UniformList:
 
     def __getitem__(self, _index):
         return self.value
-
-
-class _ViewGroup:
-    """A label-group view over shared (route-timetable) columns."""
-
-    __slots__ = ("hub", "rank", "deps", "arrs", "trips", "pivots")
-
-    def __init__(self, hub, rank, deps, arrs, trips, pivots) -> None:
-        self.hub = hub
-        self.rank = rank
-        self.deps = deps
-        self.arrs = arrs
-        self.trips = trips
-        self.pivots = pivots
-
-    def __len__(self) -> int:
-        return len(self.deps)
 
 
 class CompressedTTLIndex:
@@ -113,7 +97,9 @@ class CompressedTTLIndex:
             assert cgroup.route_id is not None
             route = self.graph.routes[cgroup.route_id]
             deps, arrs, trips = route.pair_columns(cgroup.src, cgroup.dst)
-            return _ViewGroup(
+            # Zero-copy: the group's columns are the route's timetable
+            # columns between the pair.
+            return LabelGroup(
                 cgroup.hub,
                 cgroup.rank,
                 deps,
@@ -161,10 +147,11 @@ class CompressedTTLIndex:
         group = self._materialize_pair(src, dst)
         if group is None:
             return None
-        i = bisect_left(group.deps, dep)
-        if i == len(group.deps) or group.deps[i] != dep:
+        deps = group.deps
+        i = bisect_left(deps, dep)
+        if i == len(deps) or deps[i] != dep:
             return None
-        return (group.deps[i], group.arrs[i], group.trips[i], group.pivots[i])
+        return group.entry(i)
 
     def lookup_by_arr(
         self, src: int, dst: int, arr: int
@@ -173,10 +160,11 @@ class CompressedTTLIndex:
         group = self._materialize_pair(src, dst)
         if group is None:
             return None
-        i = bisect_left(group.arrs, arr)
-        if i == len(group.arrs) or group.arrs[i] != arr:
+        arrs = group.arrs
+        i = bisect_left(arrs, arr)
+        if i == len(arrs) or arrs[i] != arr:
             return None
-        return (group.deps[i], group.arrs[i], group.trips[i], group.pivots[i])
+        return group.entry(i)
 
     # ------------------------------------------------------------------
     # Size accounting

@@ -172,16 +172,18 @@ def merge_children(
     the ``p -> dst`` frontier; mirrors the pair scan of SketchGen.
     """
     merged = LabelGroup(hub=-1, rank=-1)
+    left_deps, left_arrs = left.deps, left.arrs
+    right_deps, right_arrs = right.deps, right.arrs
     j = 0
-    len_r = len(right.deps)
+    len_r = len(right_deps)
     pending: Optional[Tuple[int, int]] = None
-    for k in range(len(left.deps)):
-        mid = left.arrs[k]
-        while j < len_r and right.deps[j] < mid:
+    for k in range(len(left_deps)):
+        mid = left_arrs[k]
+        while j < len_r and right_deps[j] < mid:
             j += 1
         if j == len_r:
             break
-        dep, arr = left.deps[k], right.arrs[j]
+        dep, arr = left_deps[k], right_arrs[j]
         if pending is not None:
             if pending[1] == arr:
                 pending = (dep, arr)
@@ -320,7 +322,7 @@ def compress_index(index: TTLIndex, mode: str = "both"):
                 src=src,
                 dst=dst,
                 route_id=route_choice[key],
-                pivot=group.pivots[0],
+                pivot=group.entry(0)[3],
                 size=len(group),
             )
             route_groups += 1

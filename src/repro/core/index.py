@@ -23,16 +23,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.build import BuildStats
-from repro.core.label import Label, LabelGroup
+from repro.core.label import Label, LabelEntry, LabelGroup
 from repro.core.store import GroupView, LabelStore
 from repro.errors import IndexBuildError
 from repro.graph.timetable import TimetableGraph
-
-#: (dep, arr, trip, pivot) — label payload with its pair context implied.
-LabelEntry = Tuple[int, int, Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ class TTLIndex:
         i = bisect_left(deps, dep)
         if i == len(deps) or deps[i] != dep:
             return None
-        return (deps[i], group.arrs[i], group.trips[i], group.pivots[i])
+        return group.entry(i)
 
     def lookup_by_arr(
         self, src: int, dst: int, arr: int
@@ -221,7 +218,7 @@ class TTLIndex:
         i = bisect_left(arrs, arr)
         if i == len(arrs) or arrs[i] != arr:
             return None
-        return (group.deps[i], arrs[i], group.trips[i], group.pivots[i])
+        return group.entry(i)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -230,14 +227,7 @@ class TTLIndex:
     @property
     def num_labels(self) -> int:
         """Total label count |L| (the paper's index-size measure)."""
-        count = 0
-        for groups in self.in_groups:
-            for group in groups:
-                count += len(group)
-        for groups in self.out_groups:
-            for group in groups:
-                count += len(group)
-        return count
+        return self.in_store.num_labels + self.out_store.num_labels
 
     def store_bytes(self) -> int:
         """Bytes held by the sealed stores' typed columns."""
@@ -257,15 +247,11 @@ class TTLIndex:
 
     def stats(self) -> IndexStats:
         """Aggregate label statistics."""
-        num_in = sum(
-            len(g) for groups in self.in_groups for g in groups
-        )
-        num_out = sum(
-            len(g) for groups in self.out_groups for g in groups
-        )
+        num_in = self.in_store.num_labels
+        num_out = self.out_store.num_labels
         per_node = [
-            sum(len(g) for g in self.in_groups[v])
-            + sum(len(g) for g in self.out_groups[v])
+            self.in_store.node_label_count(v)
+            + self.out_store.node_label_count(v)
             for v in range(self.graph.n)
         ]
         n = max(1, self.graph.n)

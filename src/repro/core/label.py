@@ -18,7 +18,10 @@ relies on.  A :class:`LabelGroup` stores its pairs column-wise
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+#: (dep, arr, trip, pivot) — label payload with its pair context implied.
+LabelEntry = Tuple[int, int, Optional[int], Optional[int]]
 
 
 class Label(NamedTuple):
@@ -73,11 +76,13 @@ class LabelGroup:
         self.trips.reverse()
         self.pivots.reverse()
 
+    def entry(self, i: int) -> LabelEntry:
+        """The ``i``-th label as ``(dep, arr, trip, pivot)``."""
+        return (self.deps[i], self.arrs[i], self.trips[i], self.pivots[i])
+
     def label(self, i: int) -> Label:
         """The ``i``-th label as a :class:`Label` record."""
-        return Label(
-            self.hub, self.deps[i], self.arrs[i], self.trips[i], self.pivots[i]
-        )
+        return Label(self.hub, *self.entry(i))
 
     def labels(self) -> List[Label]:
         """All labels of the group in order."""

@@ -153,13 +153,16 @@ def read_exact(fh: BinaryIO, count: int) -> bytes:
 
 def _write_group(fh: BinaryIO, group) -> None:
     fh.write(struct.pack("<qq", group.hub, len(group)))
-    trips = group.trips
-    pivots = group.pivots
     for i in range(len(group)):
-        trip = trips[i] if trips[i] is not None else -1
-        pivot = pivots[i] if pivots[i] is not None else -1
+        dep, arr, trip, pivot = group.entry(i)
         fh.write(
-            struct.pack("<qqqq", group.deps[i], group.arrs[i], trip, pivot)
+            struct.pack(
+                "<qqqq",
+                dep,
+                arr,
+                -1 if trip is None else trip,
+                -1 if pivot is None else pivot,
+            )
         )
 
 

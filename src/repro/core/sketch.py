@@ -96,7 +96,7 @@ def _direct_sketches(
         arr = arrs[k]
         if arr > t_end:
             break  # Pareto order: later labels arrive even later.
-        seg = Segment(u, v, deps[k], arr, group.trips[k], group.pivots[k])
+        seg = Segment(u, v, *group.entry(k))
         if first:
             yield Sketch(deps[k], arr, seg, None)
         else:
@@ -138,12 +138,8 @@ def _pair_sketches(
 
 def _make_pair_sketch(ga, gb, u: int, v: int, pending) -> Sketch:
     dep, arr, k, j = pending
-    first = Segment(
-        u, ga.hub, ga.deps[k], ga.arrs[k], ga.trips[k], ga.pivots[k]
-    )
-    second = Segment(
-        gb.hub, v, gb.deps[j], gb.arrs[j], gb.trips[j], gb.pivots[j]
-    )
+    first = Segment(u, ga.hub, *ga.entry(k))
+    second = Segment(gb.hub, v, *gb.entry(j))
     return Sketch(dep, arr, first, second)
 
 
@@ -188,9 +184,7 @@ def _merge_groups(out_list: List, in_list: List, u: int, v: int):
 
 
 def _segment(group, k: int, src: int, dst: int) -> Segment:
-    return Segment(
-        src, dst, group.deps[k], group.arrs[k], group.trips[k], group.pivots[k]
-    )
+    return Segment(src, dst, *group.entry(k))
 
 
 def _count_scan(

@@ -10,22 +10,21 @@ so per-node label counts and group slices are O(1).
 Query code never touches the columns directly: it goes through
 :class:`GroupView`, a façade over one group's slice that exposes
 exactly the :class:`~repro.core.label.LabelGroup` surface
-(``hub``/``rank``/``deps``/``arrs``/``trips``/``pivots``/``label``/
-``labels``/``check_invariants``).  SketchGen, refinement, PathUnfold,
-profile queries, and the compressed index all consume groups through
-this one accessor layer, so the storage layout can evolve without
-touching the algorithms.
+(``hub``/``rank``/``deps``/``arrs``/``trips``/``pivots``/``entry``/
+``label``/``labels``/``check_invariants``).  SketchGen, refinement,
+PathUnfold, profile queries, and the compressed index all consume
+groups through this one accessor layer, so the storage layout can
+evolve without touching the algorithms.
 
-The hot ``deps``/``arrs`` columns are decoded to plain lists when the
-view is materialized (once, at seal time): ``bisect`` and the selector
-loops run at C list-indexing speed, which keeps query latency at
-parity with the legacy list-backed groups.  The cold ``trips``/
-``pivots`` columns stay in the flat arrays and decode lazily — they
-are only read when a winning sketch is materialized or unfolded — with
-the decoded list cached on the view.  ``trip`` and ``pivot`` are
-optional in a label; the store encodes ``None`` as ``-1`` and the
-decode maps it back, so consumers still see ``None`` for transfer
-paths.
+A view decodes nothing: ``deps``/``arrs`` are ``memoryview`` slices
+of the sealed columns, which ``bisect`` and the selector loops index
+in place, and a label's trip and pivot are read by position through
+``entry(i)``.  Views hold no per-label state, so heap and mapped
+stores share one view class, and N worker processes mapping one index
+file keep sharing its physical pages however many queries they
+answer.  ``trip`` and ``pivot`` are optional in a label; the store
+encodes ``None`` as ``-1`` and ``entry`` maps it back, so consumers
+still see ``None`` for transfer paths.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.label import Label, LabelGroup
+from repro.core.label import Label, LabelEntry, LabelGroup
 
 #: Sentinel for a ``None`` trip/pivot in the typed columns.
 NONE_SENTINEL = -1
@@ -54,6 +53,10 @@ COLUMN_NAMES = (
 
 def _encode(value: Optional[int]) -> int:
     return NONE_SENTINEL if value is None else value
+
+
+def _decode(raw: Iterable[int]) -> List[Optional[int]]:
+    return [None if value < 0 else value for value in raw]
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +118,8 @@ def decode_group_entries(
             ranks[hubs[g]],
             deps=list(deps[lo:hi]),
             arrs=list(arrs[lo:hi]),
-            trips=[None if t < 0 else t for t in trips[lo:hi]],
-            pivots=[None if p < 0 else p for p in pivots[lo:hi]],
+            trips=_decode(trips[lo:hi]),
+            pivots=_decode(pivots[lo:hi]),
         )
         entries.append((nodes[g], group))
     return entries
@@ -128,59 +131,67 @@ def blob_num_labels(blob: GroupTableBlob) -> int:
 
 
 class GroupView:
-    """One label group over a slice of a :class:`LabelStore`.
+    """One label group: a ``[lo, hi)`` slice of a :class:`LabelStore`.
 
-    Duck-typed like :class:`~repro.core.label.LabelGroup`: ``deps`` /
-    ``arrs`` are plain lists decoded at construction; ``trips`` /
-    ``pivots`` decode from the flat columns on first access (with the
-    ``-1`` sentinel mapped back to ``None``) and are cached.
+    Duck-typed like :class:`~repro.core.label.LabelGroup`, one class for
+    heap and mapped stores alike.  The view holds only ``hub``,
+    ``rank``, its store and its extent — no per-label state:
+
+    * ``deps`` / ``arrs`` are ``memoryview`` slices of the sealed
+      columns, so ``bisect`` and indexing read the column in place;
+    * :meth:`entry` reads one label's ``(dep, arr, trip, pivot)`` by
+      position, mapping the ``-1`` sentinel back to ``None``;
+    * ``trips`` / ``pivots`` decode the whole group into fresh lists on
+      every access — for whole-group consumers (serialization,
+      compression); per-label readers use :meth:`entry`.
     """
 
-    __slots__ = (
-        "hub", "rank", "deps", "arrs", "_store", "_lo", "_hi",
-        "_trips", "_pivots",
-    )
+    __slots__ = ("hub", "rank", "_store", "_lo", "_hi")
 
     def __init__(self, store: "LabelStore", g: int) -> None:
         self.hub = store.hubs[g]
         self.rank = store.group_ranks[g]
-        lo = store.group_starts[g]
-        hi = store.group_starts[g + 1]
         self._store = store
-        self._lo = lo
-        self._hi = hi
-        self.deps = store.deps_mv[lo:hi].tolist()
-        self.arrs = store.arrs_mv[lo:hi].tolist()
-        self._trips: Optional[List[Optional[int]]] = None
-        self._pivots: Optional[List[Optional[int]]] = None
+        self._lo = store.group_starts[g]
+        self._hi = store.group_starts[g + 1]
+
+    @property
+    def deps(self) -> memoryview:
+        return self._store.deps_mv[self._lo:self._hi]
+
+    @property
+    def arrs(self) -> memoryview:
+        return self._store.arrs_mv[self._lo:self._hi]
 
     @property
     def trips(self) -> List[Optional[int]]:
-        column = self._trips
-        if column is None:
-            column = [
-                None if raw < 0 else raw
-                for raw in self._store.trips_mv[self._lo:self._hi]
-            ]
-            self._trips = column
-        return column
+        return _decode(self._store.trips_mv[self._lo:self._hi])
 
     @property
     def pivots(self) -> List[Optional[int]]:
-        column = self._pivots
-        if column is None:
-            column = [
-                None if raw < 0 else raw
-                for raw in self._store.pivots_mv[self._lo:self._hi]
-            ]
-            self._pivots = column
-        return column
+        return _decode(self._store.pivots_mv[self._lo:self._hi])
+
+    def entry(self, i: int) -> LabelEntry:
+        """The ``i``-th label as ``(dep, arr, trip, pivot)``."""
+        size = self._hi - self._lo
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("label index out of range")
+        store = self._store
+        p = self._lo + i
+        trip = store.trips_mv[p]
+        pivot = store.pivots_mv[p]
+        return (
+            store.deps_mv[p],
+            store.arrs_mv[p],
+            None if trip < 0 else trip,
+            None if pivot < 0 else pivot,
+        )
 
     def label(self, i: int) -> Label:
         """The ``i``-th label as a :class:`Label` record."""
-        return Label(
-            self.hub, self.deps[i], self.arrs[i], self.trips[i], self.pivots[i]
-        )
+        return Label(self.hub, *self.entry(i))
 
     def labels(self) -> List[Label]:
         """All labels of the group in order."""
@@ -204,51 +215,6 @@ class GroupView:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GroupView(hub={self.hub}, size={len(self)})"
-
-
-class MappedGroupView(GroupView):
-    """A :class:`GroupView` over a memory-mapped store.
-
-    *Every* column — including the hot ``deps``/``arrs`` — decodes
-    lazily on first access and is cached on the view.  Eager decoding
-    (the heap store's choice) would materialize the whole index as
-    Python lists at load time, which is exactly what the zero-copy
-    TTLIDX03 path exists to avoid: only the groups a workload actually
-    touches ever leave the page cache, so N worker processes mapping
-    the same file share one physical copy of the cold data.
-    """
-
-    __slots__ = ("_deps", "_arrs")
-
-    def __init__(self, store: "LabelStore", g: int) -> None:
-        self.hub = store.hubs[g]
-        self.rank = store.group_ranks[g]
-        self._store = store
-        self._lo = store.group_starts[g]
-        self._hi = store.group_starts[g + 1]
-        self._deps = None
-        self._arrs = None
-        self._trips = None
-        self._pivots = None
-
-    @property
-    def deps(self) -> List[int]:
-        column = self._deps
-        if column is None:
-            column = self._store.deps_mv[self._lo:self._hi].tolist()
-            self._deps = column
-        return column
-
-    @property
-    def arrs(self) -> List[int]:
-        column = self._arrs
-        if column is None:
-            column = self._store.arrs_mv[self._lo:self._hi].tolist()
-            self._arrs = column
-        return column
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MappedGroupView(hub={self.hub}, size={len(self)})"
 
 
 class LabelStore:
@@ -448,15 +414,9 @@ class LabelStore:
     # ------------------------------------------------------------------
 
     def views(self, node: int) -> List[GroupView]:
-        """Group views of ``node`` in hub-rank order.
-
-        Mapped stores hand out :class:`MappedGroupView` (fully lazy
-        columns); sealed heap stores keep the eager-hot-column
-        :class:`GroupView`.  Both expose the same surface.
-        """
-        cls = MappedGroupView if self.mapped else GroupView
+        """Group views of ``node`` in hub-rank order."""
         return [
-            cls(self, g)
+            GroupView(self, g)
             for g in range(self.node_starts[node], self.node_starts[node + 1])
         ]
 

@@ -84,11 +84,11 @@ def verify_index(
     all_labels = []
     for v in range(graph.n):
         for group in index.in_groups[v]:
-            for i in range(len(group)):
-                all_labels.append((group.hub, v, group.deps[i], group.arrs[i]))
+            for dep, arr in zip(group.deps, group.arrs):
+                all_labels.append((group.hub, v, dep, arr))
         for group in index.out_groups[v]:
-            for i in range(len(group)):
-                all_labels.append((v, group.hub, group.deps[i], group.arrs[i]))
+            for dep, arr in zip(group.deps, group.arrs):
+                all_labels.append((v, group.hub, dep, arr))
     if all_labels:
         count = min(label_samples, len(all_labels))
         for src, dst, dep, arr in rng.sample(all_labels, count):

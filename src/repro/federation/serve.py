@@ -358,8 +358,7 @@ class FederationSupervisor(ServingSupervisor):
             daemon=True,
             name=f"repro-fed-worker-r{worker_id}",
         )
-        proc.start()
-        self._procs[worker_id] = proc
+        self._fork(worker_id, proc)
 
     # ------------------------------------------------------------------
     # Router helpers

@@ -133,14 +133,7 @@ class TaintAnalyzer:
         hubs = set()
         for group in self.index.out_groups[node]:
             for i in range(len(group)):
-                if self.segment_tainted(
-                    node,
-                    group.hub,
-                    group.deps[i],
-                    group.arrs[i],
-                    group.trips[i],
-                    group.pivots[i],
-                ):
+                if self.segment_tainted(node, group.hub, *group.entry(i)):
                     hubs.add(group.hub)
                     break
         return frozenset(hubs)
@@ -150,14 +143,7 @@ class TaintAnalyzer:
         hubs = set()
         for group in self.index.in_groups[node]:
             for i in range(len(group)):
-                if self.segment_tainted(
-                    group.hub,
-                    node,
-                    group.deps[i],
-                    group.arrs[i],
-                    group.trips[i],
-                    group.pivots[i],
-                ):
+                if self.segment_tainted(group.hub, node, *group.entry(i)):
                     hubs.add(group.hub)
                     break
         return frozenset(hubs)
@@ -177,13 +163,6 @@ class TaintAnalyzer:
                             src, dst = node, group.hub
                         else:
                             src, dst = group.hub, node
-                        if self.segment_tainted(
-                            src,
-                            dst,
-                            group.deps[i],
-                            group.arrs[i],
-                            group.trips[i],
-                            group.pivots[i],
-                        ):
+                        if self.segment_tainted(src, dst, *group.entry(i)):
                             tainted += 1
         return TaintReport(num_labels=total, num_tainted=tainted)

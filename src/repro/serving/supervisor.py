@@ -37,6 +37,7 @@ here.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -336,6 +337,18 @@ class ServingSupervisor:
             daemon=True,
             name=f"repro-serve-worker-{worker_id}",
         )
+        self._fork(worker_id, proc)
+
+    def _fork(self, worker_id: int, proc) -> None:
+        """Start ``proc`` in ``worker_id``'s slot.
+
+        The heap is collected and frozen just before the fork, so the
+        child's garbage collections never write to (and so copy) the
+        pages it inherited from the supervisor: the timetable graph, a
+        heap index, the control plane's reference live engine.
+        """
+        gc.collect()
+        gc.freeze()
         proc.start()
         self._procs[worker_id] = proc
 

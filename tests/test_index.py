@@ -38,6 +38,19 @@ class TestStats:
             stats.num_labels / route_graph.n
         )
 
+    def test_counts_from_offsets_match_the_views(self, route_graph):
+        index = build_index(route_graph)
+        per_node = [
+            len(index.in_labels(v)) + len(index.out_labels(v))
+            for v in range(route_graph.n)
+        ]
+        stats = index.stats()
+        assert index.num_labels == sum(per_node) > 0
+        assert stats.max_labels_per_node == max(per_node)
+        assert stats.num_in_labels == sum(
+            len(index.in_labels(v)) for v in range(route_graph.n)
+        )
+
     def test_flat_label_lists_in_rank_order(self, route_graph):
         index = build_index(route_graph)
         for v in range(route_graph.n):

@@ -154,6 +154,33 @@ def cluster(request):
 
 
 class TestSupervisor:
+    def test_fork_collects_and_freezes_the_heap_first(self, monkeypatch):
+        import repro.serving.supervisor as supervisor_module
+
+        calls = []
+
+        class FakeGC:
+            @staticmethod
+            def collect():
+                calls.append("collect")
+
+            @staticmethod
+            def freeze():
+                calls.append("freeze")
+
+        class FakeProc:
+            def start(self):
+                calls.append("start")
+
+        monkeypatch.setattr(supervisor_module, "gc", FakeGC)
+        supervisor = ServingSupervisor(lambda: None, workers=1)
+        proc = FakeProc()
+        supervisor._fork(0, proc)
+        # Frozen before the fork, so a worker's collections never write
+        # to the pages it inherits.
+        assert calls == ["collect", "freeze", "start"]
+        assert supervisor._procs == {0: proc}
+
     def test_both_workers_alive_in_healthz(self, cluster):
         _, supervisor, port = cluster
         _, body = get(port, "/v1/healthz")

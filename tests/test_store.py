@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.build import build_index
 from repro.core.label import LabelGroup
-from repro.core.store import NONE_SENTINEL, GroupView, LabelStore
+from repro.core.store import COLUMN_NAMES, NONE_SENTINEL, GroupView, LabelStore
 
 
 def make_store():
@@ -70,10 +70,12 @@ class TestGroupView:
         store = make_store()
         view = store.views(0)[0]
         view.deps[0] = 11
-        # Consumers share the view object, so the mutation is seen by
-        # everything reading through it (tests corrupt groups this way).
+        # deps is a writable slice of the heap column, so the mutation
+        # lands in the store and every reader sees it (tests corrupt
+        # groups this way).
         assert view.deps[0] == 11
         assert view.label(0).dep == 11
+        assert store.deps[0] == 11
 
     def test_check_invariants_detects_violation(self):
         store = make_store()
@@ -91,16 +93,44 @@ class TestGroupView:
                 assert len(group.labels()) == len(group)
 
 
-class TestLazyColumns:
-    def test_trips_decode_lazily_and_cache(self):
-        store = make_store()
-        view = store.views(0)[0]
-        assert view._trips is None  # not decoded until touched
-        trips = view.trips
-        assert trips == [7, 8]
-        assert view.trips is trips  # cached after first access
+def _mapped(store):
+    """A store over read-only copies of ``store``'s columns, built the
+    way the TTLIDX03 loader builds one over a mapped file."""
+    return LabelStore.frombuffer(
+        store.n,
+        {
+            name: memoryview(getattr(store, name).tobytes()).cast("q")
+            for name in COLUMN_NAMES
+        },
+    )
 
-    def test_pivots_decode_sentinel_to_none(self):
-        store = make_store()
-        assert store.views(0)[0].pivots == [None, 3]
-        assert store.views(0)[1].trips == [None]
+
+class TestViewsReadColumnsInPlace:
+    def test_view_carries_no_per_label_state(self):
+        assert set(GroupView.__slots__) == {
+            "hub", "rank", "_store", "_lo", "_hi",
+        }
+        for store in (make_store(), _mapped(make_store())):
+            view = store.views(0)[0]
+            assert not hasattr(view, "__dict__")
+            # deps/arrs are slices of the sealed columns, not copies.
+            for column, name in ((view.deps, "deps"), (view.arrs, "arrs")):
+                assert isinstance(column, memoryview)
+                assert column.obj is memoryview(getattr(store, name)).obj
+            assert view.deps is not view.deps  # nothing cached
+
+    def test_entry_maps_sentinel_to_none_heap_and_mapped(self):
+        for store in (make_store(), _mapped(make_store())):
+            first, second = store.views(0)
+            assert first.entry(0) == (10, 20, 7, None)
+            assert first.entry(1) == (15, 25, 8, 3)
+            assert first.entry(-1) == first.entry(1)
+            assert second.entry(0) == (5, 9, None, None)
+            assert first.label(0) == (1, 10, 20, 7, None)
+            # Whole-group decoding maps the sentinel the same way.
+            assert first.pivots == [None, 3]
+            assert second.trips == [None]
+            with pytest.raises(IndexError):
+                first.entry(2)
+            with pytest.raises(IndexError):
+                second.entry(-2)
